@@ -48,14 +48,19 @@ lint:
 	else \
 		echo "lint: govulncheck $(GOVULNCHECK_VERSION) not installed; skipping (CI runs it)"; fi
 
-# lint-smoke is the static-analysis gate on the linker's own output: every
-# golden matrix cell of two real benchmarks must come back with zero error
-# findings from the whole-program dataflow checks, and the fault-injection
-# probe must prove the checks still have teeth (a deliberately broken
-# pass run must be caught statically, no simulator, no journal).
+# lint-smoke is the static-analysis gate on the linker's own output: the
+# fault-injection probe must prove the dataflow checks still have teeth (a
+# deliberately broken pass run must be caught statically, no simulator, no
+# journal), and a command-line `om -check static` link of a small program
+# must come back clean. The golden matrix runs the same analyses under
+# verify-smoke's full check.
 lint-smoke:
-	$(GO) run ./cmd/omlint -matrix -bench li,compress
 	$(GO) run ./cmd/omlint -faultcheck
+	@dir=$$(mktemp -d); \
+	printf 'long t[8];\nlong down(long a, long b) { return b - a; }\nlong main() { long i; i = 0; while (i < 8) { t[i] = lhash(i) %% 31; i = i + 1; } qsort8(t, 0, 7, down); print(t[0]); return 0; }\n' > $$dir/t.tc; \
+	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \
+	$(GO) run ./cmd/om -check static -o $$dir/a.out $$dir/t.o; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # bench runs the simulator benchmark suite and records it as
 # BENCH_sim.json, embedding the pre-engine baseline so one file shows the
@@ -121,9 +126,11 @@ omd-smoke:
 	$(GO) run ./cmd/omd -loadsmoke -smoke-clients 32
 
 # verify-smoke is the correctness-engine gate: every golden matrix cell of
-# two real benchmarks must translation-validate with zero failures, 200
-# generated programs must behave identically unoptimized and optimized
-# across the quick matrix, and each fuzz target runs 10 seconds from its
+# two real benchmarks must pass the full check (dataflow analysis of the
+# lifted program, the optimized program and the image, plus translation
+# validation) with zero error findings or failed verdicts, 200 generated
+# programs must behave identically unoptimized and optimized across the
+# quick matrix, and each fuzz target runs 10 seconds from its
 # seeded corpus (the minimized crashers in testdata/fuzz also replay as
 # plain tests under `make test`). One -fuzz target per invocation — the
 # go tool accepts only one fuzzing pattern at a time.

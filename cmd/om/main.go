@@ -5,23 +5,20 @@
 // Usage:
 //
 //	om [-o a.out] [-level none|simple|full] [-schedule] [-nostdlib]
-//	   [-profile file] [-stats] [-trace file] [-verify] [-lint] [-metrics]
-//	   [-warmcheck] [-v] file.o...
+//	   [-profile file] [-stats] [-trace file] [-check off|static|full]
+//	   [-metrics] [-warmcheck] [-v] file.o...
 //
 // -warmcheck links the program a second time through the per-procedure warm
 // memo and fails unless the replayed image is byte-identical to the first —
 // a command-line probe of the incremental pipeline's core invariant.
 //
-// -lint shadows the link with the static whole-program dataflow analysis:
-// the symbolic program is analyzed before and after the optimization
-// passes, and the link fails if the passes introduce any error finding the
-// input program did not already carry (no simulator, no decision journal —
-// purely static).
-//
-// -verify translation-validates the produced image against the link's own
-// decision journal and refuses to write an image any rewrite of which cannot
-// be proven sound. With -trace, the om-verify/v1 verdict document is written
-// next to the journal as <trace>.verify.json.
+// -check makes the link prove its output before writing it. static runs the
+// whole-program dataflow analysis over the symbolic program before and
+// after the optimization passes and over the emitted image; full adds
+// translation validation of the image against the link's own decision
+// journal. Any error finding or failed verdict refuses the image. At full
+// with -trace, the om-verify/v1 verdict document is written next to the
+// journal as <trace>.verify.json.
 //
 // -profile enables profile-guided procedure layout from an om-profile/v1
 // document (collected with axsim -profileout or om -instrument feedback);
@@ -38,7 +35,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/dataflow"
 	"repro/internal/harness"
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -59,8 +55,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print static optimization statistics")
 	jobs := flag.Int("j", 0, "max concurrent analysis goroutines (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
-	verifyFlag := flag.Bool("verify", false, "translation-validate the image against the decision journal before writing it")
-	lint := flag.Bool("lint", false, "statically analyze the program before and after the passes; fail on any new error finding")
+	checkFlag := flag.String("check", "off", "prove the output before writing it: off, static (dataflow analysis) or full (static plus translation validation)")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
 	warmcheck := flag.Bool("warmcheck", false, "relink through the warm per-procedure memo and verify the image is byte-identical")
 	verbose := flag.Bool("v", false, "print progress")
@@ -73,6 +68,13 @@ func main() {
 		logger = harness.LoggerFunc(func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		})
+	}
+
+	chk := &verify.Checker{}
+	var err error
+	if chk.Level, err = verify.ParseCheckLevel(*checkFlag); err != nil {
+		fmt.Fprintln(os.Stderr, "om:", err)
+		os.Exit(2)
 	}
 
 	var lvl om.Level
@@ -150,7 +152,7 @@ func main() {
 		reg = obs.NewRegistry()
 		opts = append(opts, om.WithMetrics(reg))
 	}
-	if *trace != "" || *verifyFlag {
+	if *trace != "" {
 		opts = append(opts, om.WithTrace())
 	}
 	var memo *om.Memo
@@ -158,59 +160,31 @@ func main() {
 		memo = om.NewMemo(reg)
 		opts = append(opts, om.WithMemo(memo))
 	}
-	lintReports := map[om.ProgStage]*dataflow.Report{}
-	if *lint {
-		opts = append(opts, om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return fmt.Errorf("lint %s: %w", stage, err)
-			}
-			lintReports[stage] = rep
-			return nil
-		}))
-	}
-	res, err := om.Run(context.Background(), p, opts...)
+	res, err := om.Run(context.Background(), p, append(opts, chk.Options()...)...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "om:", err)
 		os.Exit(1)
 	}
 	logger.Logf("om: optimized at %v: %v", lvl, res.Stats)
-	if *lint {
-		pre, post := lintReports[om.StageLifted], lintReports[om.StageOptimized]
-		if pre == nil || post == nil {
-			fmt.Fprintln(os.Stderr, "om: lint: analysis stages missing")
-			os.Exit(1)
-		}
-		if regressions := lintRegressions(pre, post); len(regressions) > 0 {
-			for _, f := range regressions {
-				fmt.Fprintf(os.Stderr, "om: lint: new %s\n", f.String())
-			}
-			fmt.Fprintf(os.Stderr, "om: lint: the passes introduced %d error finding(s); refusing to write %s\n",
-				len(regressions), *out)
-			os.Exit(1)
-		}
-		logger.Logf("om: lint ok (%d pre-pass, %d post-pass sites; %d pre-existing errors)",
-			pre.Checked, post.Checked, pre.Errors())
-	}
 	im := res.Image
-	if *verifyFlag {
-		doc, err := verify.ValidateImage(im, res.Journal)
+	if chk.Level != verify.CheckOff {
+		doc, err := chk.Finish(res)
 		if err == nil {
 			err = doc.Err()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "om: verify:", err)
+			fmt.Fprintf(os.Stderr, "om: %v; refusing to write %s\n", err, *out)
 			os.Exit(1)
 		}
-		logger.Logf("om: verify ok (%d checks)", doc.Checked)
-		if *trace != "" {
+		logger.Logf("om: check %s ok (%d checks)", chk.Level, doc.Checked())
+		if doc.Verify != nil && *trace != "" {
 			vf, err := os.Create(*trace + ".verify.json")
 			if err == nil {
-				err = verify.Write(vf, doc)
+				err = verify.Write(vf, doc.Verify)
 				vf.Close()
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "om: verify:", err)
+				fmt.Fprintln(os.Stderr, "om: check:", err)
 				os.Exit(1)
 			}
 			logger.Logf("om: wrote verdicts to %s.verify.json", *trace)
@@ -275,23 +249,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Logf("om: wrote %s", *out)
-}
-
-// lintRegressions returns the post-pass error findings absent from the
-// pre-pass report, keyed by (check, procedure): errors the passes
-// introduced, as opposed to problems the input program already carried.
-func lintRegressions(pre, post *dataflow.Report) []dataflow.Finding {
-	had := make(map[string]bool)
-	for _, f := range pre.Findings {
-		if f.Severity == dataflow.SevError {
-			had[f.ID+"\x00"+f.Proc] = true
-		}
-	}
-	var out []dataflow.Finding
-	for _, f := range post.Findings {
-		if f.Severity == dataflow.SevError && !had[f.ID+"\x00"+f.Proc] {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -4,7 +4,7 @@
 //
 //	omctl submit [-server url] [-bench name | obj.o ...] [-level none|simple|full]
 //	             [-schedule] [-trace] [-nostdlib] [-profile file] [-sim]
-//	             [-verify] [-lint]
+//	             [-check off|static|full]
 //	             [-buildmode compile-each|compile-all] [-timeout dur]
 //	             [-traceid id] [-wait] [-o image]
 //	omctl status [-server url] jobID
@@ -13,7 +13,7 @@
 //	omctl jobs   [-server url]
 //	omctl metrics [-server url] [-json]
 //	omctl trace  [-server url] [-json] jobID
-//	omctl lint   [-server url] jobID
+//	omctl check  [-server url] jobID
 //	omctl top    [-server url] [-n jobs]
 //
 // metrics prints a human-readable summary of the server's queue, build
@@ -22,9 +22,10 @@
 // histogram buckets; -json prints the raw snapshot instead.
 // trace renders a job's span tree — one line per span with duration and
 // percentage of the job total — straight from GET /jobs/{id}/trace.
-// lint prints the om-lint/v1 findings document of a job submitted with
-// `submit -lint` (the static dataflow reports at both symbolic stages plus
-// the linked image), straight from GET /jobs/{id}/lint.
+// check prints the om-check/v1 document of a job submitted with `submit
+// -check` (the dataflow reports at both symbolic stages plus the linked
+// image, and at full the verdict document), straight from GET
+// /jobs/{id}/check.
 // top is the operator's one-glance view: queue occupancy, worker
 // utilization, cache hit rates, and the most recent job latencies.
 // wait polls with jittered exponential backoff (20ms doubling to 640ms).
@@ -74,7 +75,7 @@ func printJSON(v any) {
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: omctl submit|status|wait|fetch|jobs|metrics|trace|lint|top ... (see go doc)")
+		fatalf("usage: omctl submit|status|wait|fetch|jobs|metrics|trace|check|top ... (see go doc)")
 	}
 	ctx := context.Background()
 	switch cmd := os.Args[1]; cmd {
@@ -158,14 +159,14 @@ func main() {
 		} else {
 			fmt.Print(doc.Render())
 		}
-	case "lint":
-		fs := flag.NewFlagSet("lint", flag.ExitOnError)
+	case "check":
+		fs := flag.NewFlagSet("check", flag.ExitOnError)
 		server := serverURL(fs)
 		fs.Parse(os.Args[2:])
 		if fs.NArg() != 1 {
-			fatalf("usage: omctl lint [-server url] jobID")
+			fatalf("usage: omctl check [-server url] jobID")
 		}
-		data, err := client.New(*server, nil).Lint(ctx, fs.Arg(0))
+		data, err := client.New(*server, nil).Check(ctx, fs.Arg(0))
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -339,8 +340,7 @@ func cmdSubmit(ctx context.Context, args []string) {
 	noStdlib := fs.Bool("nostdlib", false, "do not link the runtime library")
 	profPath := fs.String("profile", "", "om-profile/v1 file for profile-guided layout")
 	simulate := fs.Bool("sim", false, "simulate the linked image and report dynamic stats")
-	verifyJob := fs.Bool("verify", false, "translation-validate the linked image on the server; a bad verdict fails the job")
-	lintJob := fs.Bool("lint", false, "statically analyze the program on the server; an error finding fails the job")
+	check := fs.String("check", "", "check level the server proves the link at: off, static or full; a failed check fails the job")
 	timeout := fs.Duration("timeout", 0, "per-job deadline override (0 = server default)")
 	traceID := fs.String("traceid", "", "correlate the job under this trace id (Om-Trace-Id)")
 	wait := fs.Bool("wait", false, "block until the job finishes")
@@ -373,8 +373,7 @@ func cmdSubmit(ctx context.Context, args []string) {
 		NoStdlib:  *noStdlib,
 		Options:   optDoc,
 		Simulate:  *simulate,
-		Verify:    *verifyJob,
-		Lint:      *lintJob,
+		Check:     *check,
 		TimeoutMS: timeout.Milliseconds(),
 	}
 	for _, path := range fs.Args() {

@@ -1,5 +1,5 @@
 // Command omd runs the link-time optimization service: a resident daemon
-// that accepts omd-job/v1 link jobs over HTTP/JSON, executes them on a
+// that accepts omd-job/v2 link jobs over HTTP/JSON, executes them on a
 // bounded worker pool behind an explicit admission queue, coalesces
 // identical in-flight requests into one execution, and keeps the build
 // cache warm across requests.
@@ -7,15 +7,14 @@
 // Usage:
 //
 //	omd [-addr :7333] [-j N] [-queue N] [-timeout 5m] [-cache dir|off]
-//	    [-slow dur] [-flights N] [-verifysample N] [-v]
+//	    [-slow dur] [-flights N] [-checksample N] [-v]
 //	omd -loadsmoke [-smoke-clients N]
 //
-// -verifysample N shadow-verifies every Nth fresh link: the image is
-// translation-validated against its decision journal alongside the job,
-// counted in /metrics (omd/verify-*) and visible as a verify span in the
-// job trace; a shadow failure never fails the job. Jobs that request
-// verification explicitly (JobSpec verify, `omctl submit -verify`) are
-// always validated and do fail on a bad verdict.
+// -checksample N shadow-checks every Nth fresh link of an unchecked job at
+// the full level, counted in /metrics (omd/check-*) and visible as a check
+// span in the job trace; a shadow failure never fails the job. Jobs that
+// request a check level (JobSpec check, `omctl submit -check`) are always
+// checked and do fail on a bad check.
 //
 // Every job gets a span-tree trace (GET /jobs/{id}/trace; recent completed
 // traces at GET /debug/flights), structured logs correlate by trace id, and
@@ -69,7 +68,7 @@ func main() {
 		"build cache directory ('' = in-memory only, 'off' = disabled; default $OMD_CACHE)")
 	slow := flag.Duration("slow", 30*time.Second, "log the full span tree of jobs slower than this (0 = never)")
 	flights := flag.Int("flights", 0, "completed traces retained for /debug/flights (0 = default 128)")
-	verifySample := flag.Int("verifysample", 0, "shadow-verify every Nth fresh link (0 = off); failures log + count, never fail the job")
+	checkSample := flag.Int("checksample", 0, "shadow-check every Nth fresh link at the full level (0 = off); failures log + count, never fail the job")
 	verbose := flag.Bool("v", false, "log job progress to stderr")
 	loadSmoke := flag.Bool("loadsmoke", false, "run the coalescing load self-test and exit")
 	smokeClients := flag.Int("smoke-clients", 32, "with -loadsmoke: concurrent identical submissions")
@@ -82,7 +81,7 @@ func main() {
 		Metrics:            obs.NewRegistry(),
 		SlowJob:            *slow,
 		FlightRecorderSize: *flights,
-		VerifySample:       *verifySample,
+		CheckSample:        *checkSample,
 	}
 	if *verbose || *loadSmoke {
 		cfg.Logger = stderrLogger{}

@@ -7,20 +7,19 @@
 // Usage:
 //
 //	omlint -image a.out [-json] [-missed]
-//	omlint -matrix [-bench name,...] [-quick] [-json] [-missed]
 //	omlint -faultcheck
 //	omlint -checks [-json]
 //	omlint [-level full] [-sched] [-nostdlib] [-json] [-missed] file.o...
 //
-// -image analyzes an already-linked executable. With object file
-// arguments, the objects are linked, optimized at -level, and analyzed
-// three times: the lifted symbolic program (pre-pass), the optimized
-// symbolic program (post-pass), and the emitted image.
-//
-// -matrix compiles the named benchmarks (default: the full suite) and
-// analyzes the image of every golden matrix cell, failing on any
-// error-severity finding — the static half of the verification story
-// omverify witnesses dynamically.
+// -image analyzes an already-linked executable: the dataflow checks plus
+// the image's structure (it validates, its entry and every bsr land on
+// procedure entries, every text word decodes, every branch lands in text,
+// GPs name GATs, and every GAT slot holds an address inside the image).
+// With object file arguments, the objects are linked, optimized at -level,
+// and checked at the static level (om -check static): the lifted symbolic
+// program (pre-pass), the optimized symbolic program (post-pass), and the
+// emitted image. The golden matrix runs under omverify -matrix, whose full
+// check includes these analyses.
 //
 // -faultcheck is the detection-power self-test: it installs the standard
 // fault injection (a kept address load silently deleted after the passes)
@@ -44,16 +43,12 @@ import (
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/rtlib"
-	benchspec "repro/internal/spec"
 	"repro/internal/tcc"
 	"repro/internal/verify"
 )
 
 func main() {
 	image := flag.String("image", "", "analyze this linked image")
-	matrix := flag.Bool("matrix", false, "analyze the golden matrix over built-in benchmarks")
-	bench := flag.String("bench", "", "comma-separated benchmark names for -matrix (default: all)")
-	quick := flag.Bool("quick", false, "use the quick cell set instead of the full golden matrix")
 	faultcheck := flag.Bool("faultcheck", false, "self-test: inject the standard pass fault and require a finding")
 	checks := flag.Bool("checks", false, "print the check catalog")
 	level := flag.String("level", "full", "optimization level for object file arguments (none, simple, full)")
@@ -71,12 +66,10 @@ func main() {
 		runFaultcheck(ctx)
 	case *image != "":
 		runImage(*image, *jsonOut, *missed)
-	case *matrix:
-		runBenchMatrix(ctx, *bench, *quick, *jsonOut, *missed)
 	case flag.NArg() > 0:
 		runObjects(ctx, flag.Args(), *level, *sched, *nostdlib, *jsonOut, *missed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: omlint -image a.out | -matrix | -faultcheck | -checks | file.o...")
+		fmt.Fprintln(os.Stderr, "usage: omlint -image a.out | -faultcheck | -checks | file.o...")
 		os.Exit(2)
 	}
 }
@@ -150,165 +143,24 @@ func runObjects(ctx context.Context, files []string, level string, sched, nostdl
 	report(strings.Join(files, ","), reps, jsonOut, missed)
 }
 
-// lintObjects runs the three-report analysis: the lifted program, the
-// optimized program, and the emitted image.
+// lintObjects links and optimizes the objects under the static check,
+// returning its three reports: the lifted program, the optimized program,
+// and the emitted image.
 func lintObjects(ctx context.Context, objs []*objfile.Object, lvl om.Level, sched bool) ([]*dataflow.Report, error) {
 	p, err := link.Merge(objs)
 	if err != nil {
 		return nil, err
 	}
-	var reps []*dataflow.Report
-	res, err := om.Run(ctx, p, om.WithLevel(lvl), om.WithSchedule(sched),
-		om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			reps = append(reps, rep)
-			return nil
-		}))
+	chk := &verify.Checker{Level: verify.CheckStatic}
+	res, err := om.Run(ctx, p, append([]om.Option{om.WithLevel(lvl), om.WithSchedule(sched)}, chk.Options()...)...)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := dataflow.AnalyzeImage(res.Image)
+	doc, err := chk.Finish(res)
 	if err != nil {
 		return nil, err
 	}
-	return append(reps, rep), nil
-}
-
-// matrixRow is one benchmark × cell of the -matrix report.
-type matrixRow struct {
-	Label   string `json:"label"`
-	Cell    string `json:"cell"`
-	Checked uint64 `json:"checked"`
-	Errors  int    `json:"errors"`
-	Info    int    `json:"info"`
-	Err     string `json:"err,omitempty"`
-
-	report *dataflow.Report
-}
-
-// runBenchMatrix analyzes the image of every matrix cell for each named
-// benchmark.
-func runBenchMatrix(ctx context.Context, names string, quick, jsonOut, missed bool) {
-	var benches []benchspec.Benchmark
-	if names == "" {
-		benches = benchspec.All()
-	} else {
-		for _, n := range strings.Split(names, ",") {
-			b, ok := benchspec.ByName(strings.TrimSpace(n))
-			if !ok {
-				fail("unknown benchmark %q", n)
-			}
-			benches = append(benches, b)
-		}
-	}
-	cells := verify.MatrixCells()
-	if quick {
-		cells = verify.QuickCells()
-	}
-	lib, err := rtlib.StandardObjects()
-	if err != nil {
-		fail("%v", err)
-	}
-
-	var rows []matrixRow
-	failed := 0
-	for _, b := range benches {
-		var objs []*objfile.Object
-		for _, m := range b.Modules {
-			obj, err := tcc.Compile(m.Name, []tcc.Source{m}, tcc.DefaultOptions())
-			if err != nil {
-				fail("%s: %v", b.Name, err)
-			}
-			objs = append(objs, obj)
-		}
-		objs = append(objs, lib...)
-		for _, c := range cells {
-			row := matrixRow{Label: b.Name, Cell: c.Name()}
-			rep, err := lintCell(ctx, objs, c)
-			if err != nil {
-				row.Err = err.Error()
-				failed++
-			} else {
-				row.Checked = rep.Checked
-				row.Errors = rep.Errors()
-				row.Info = len(rep.Findings) - rep.Errors()
-				row.report = rep
-				if row.Errors > 0 {
-					failed++
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	if jsonOut {
-		emitJSON(struct {
-			Schema string      `json:"schema"`
-			Rows   []matrixRow `json:"rows"`
-			Failed int         `json:"failed_cells"`
-		}{dataflow.Schema, rows, failed})
-	} else {
-		for _, row := range rows {
-			status := "ok"
-			switch {
-			case row.Err != "":
-				status = "FAIL " + row.Err
-			case row.Errors > 0:
-				status = fmt.Sprintf("FAIL %d error finding(s)", row.Errors)
-			case row.Info > 0:
-				status = fmt.Sprintf("ok (%d info)", row.Info)
-			}
-			fmt.Printf("%-12s %-36s %6d checks  %s\n", row.Label, row.Cell, row.Checked, status)
-			if row.report == nil {
-				continue
-			}
-			for _, f := range row.report.Findings {
-				if f.Severity == dataflow.SevError || missed {
-					fmt.Printf("  %s %s\n", f.Severity, f.String())
-				}
-			}
-		}
-		fmt.Printf("%d cells, %d failed\n", len(rows), failed)
-	}
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// lintCell optimizes the objects at one matrix cell and analyzes the image.
-func lintCell(ctx context.Context, objs []*objfile.Object, c verify.Cell) (*dataflow.Report, error) {
-	p, err := link.Merge(objs)
-	if err != nil {
-		return nil, err
-	}
-	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule)}
-	if c.Ablation != (om.Ablation{}) {
-		opts = append(opts, om.WithAblation(c.Ablation))
-	}
-	if c.Profile {
-		// Profile-guided layout needs a profile; collect it from the
-		// unprofiled image of the same cell.
-		plain, err := om.Run(ctx, p, om.WithLevel(c.Level), om.WithSchedule(c.Schedule))
-		if err != nil {
-			return nil, err
-		}
-		prof, err := verify.EngineProfile(plain.Image, 100_000_000)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, om.WithProfile(prof))
-		if p, err = link.Merge(objs); err != nil {
-			return nil, err
-		}
-	}
-	res, err := om.Run(ctx, p, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return dataflow.AnalyzeImage(res.Image)
+	return doc.Reports, nil
 }
 
 // faultcheckProgram is the fixture the self-test optimizes and breaks. The
@@ -334,22 +186,11 @@ long main() {
 `
 
 // runFaultcheck proves detection power: with the standard fault injection
-// installed (a kept address load deleted after the passes), the optimized
-// symbolic program must produce at least one error finding.
+// installed (a kept address load deleted after the passes), the static
+// check must produce at least one error finding.
 func runFaultcheck(ctx context.Context) {
 	injected := false
-	restore := om.SetFaultHookForTesting(func(pg *om.Prog) {
-		for _, pr := range pg.Procs {
-			for _, si := range pr.Insts {
-				if si.Lit != nil && !si.Lit.Converted && !si.Lit.Nullified && !si.Deleted {
-					si.Deleted = true
-					injected = true
-					return
-				}
-			}
-		}
-	})
-	defer restore()
+	defer om.SetFaultHookForTesting(func(pg *om.Prog) { injected = om.DeleteKeptLoad(pg) })()
 
 	obj, err := tcc.Compile("prog", []tcc.Source{{Name: "prog", Text: faultcheckProgram}}, tcc.DefaultOptions())
 	if err != nil {
@@ -359,41 +200,26 @@ func runFaultcheck(ctx context.Context) {
 	if err != nil {
 		fail("%v", err)
 	}
-	p, err := link.Merge(append([]*objfile.Object{obj}, lib...))
-	if err != nil {
-		fail("%v", err)
-	}
-	var post *dataflow.Report
-	_, err = om.Run(ctx, p, om.WithLevel(om.LevelFull),
-		om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			if stage != om.StageOptimized {
-				return nil
-			}
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			post = rep
-			return nil
-		}))
+	reps, err := lintObjects(ctx, append([]*objfile.Object{obj}, lib...), om.LevelFull, false)
 	if err != nil {
 		fail("%v", err)
 	}
 	if !injected {
 		fail("faultcheck: no kept address load to break — fixture no longer exercises the hook")
 	}
-	if post == nil {
-		fail("faultcheck: optimized-stage analysis never ran")
-	}
-	if post.Errors() == 0 {
-		fail("faultcheck: the injected fault produced no error finding — detection power lost")
-	}
-	for _, f := range post.Findings {
-		if f.Severity == dataflow.SevError {
-			fmt.Printf("caught: %s\n", f.String())
+	errs := 0
+	for _, r := range reps {
+		for _, f := range r.Findings {
+			if f.Severity == dataflow.SevError {
+				fmt.Printf("caught: %s:%s %s\n", r.Source, r.Stage, f.String())
+				errs++
+			}
 		}
 	}
-	fmt.Printf("faultcheck ok: %d error finding(s) on the broken program\n", post.Errors())
+	if errs == 0 {
+		fail("faultcheck: the injected fault produced no error finding — detection power lost")
+	}
+	fmt.Printf("faultcheck ok: %d error finding(s) on the broken program\n", errs)
 }
 
 // report renders one or more findings documents and exits nonzero on any

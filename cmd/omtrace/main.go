@@ -9,10 +9,10 @@
 //	omtrace [-check [-verify doc]] [-json] [-kept] [-proc name] [-reason substr] journal.json...
 //
 // -check -verify cross-checks the journal against an om-verify/v1 verdict
-// document (written by `om -verify -trace` or omverify): the two accounting
-// systems must agree event-for-event on every reason code, so a validator
-// that silently dropped events — or a journal reason the validator does not
-// model — fails the gate.
+// document (written by `om -check full -trace` or omverify): the two
+// accounting systems must agree event-for-event on every reason code, so a
+// validator that silently dropped events — or a journal reason the
+// validator does not model — fails the gate.
 package main
 
 import (

@@ -6,26 +6,28 @@
 //
 //	omverify -matrix [-bench name,...] [-quick] [-json]
 //	omverify -diff N [-seed S] [-json]
-//	omverify -image a.out [-journal journal.json] [-json]
+//	omverify -image a.out -journal journal.json [-json]
 //	omverify [-quick] [-nostdlib] [-json] file.o...
 //
-// -matrix compiles the named benchmarks (default: the full suite) and
-// verifies every golden matrix cell — each optimization level with and
-// without scheduling, every single-component ablation of OM-full, and
-// profile-guided layout — failing if a single rewrite cannot be proven
-// sound. -quick restricts the run to the differential runner's smaller cell
-// set.
+// -matrix compiles the named benchmarks (default: the full suite) and runs
+// every golden matrix cell — each optimization level with and without
+// scheduling, every single-component ablation of OM-full, and
+// profile-guided layout — under the full check: the dataflow analysis of
+// the lifted program, the optimized program and the image, plus
+// translation validation of the decision journal. A cell fails on any
+// error finding or failed verdict. -quick restricts the run to the
+// differential runner's smaller cell set.
 //
 // -diff N generates N random programs, links each one unoptimized and
 // through every quick cell, and diffs the final architectural state (exit,
 // output traps, output bytes, data memory); the optimized images are also
 // translation-validated, so one run exercises both pillars.
 //
-// -image validates an already-linked image: structural checks always, plus
-// translation validation when the image's decision journal (om -trace) is
-// supplied.
+// -image translation-validates an already-linked image against its
+// decision journal (om -trace), which is required; the structural checks of
+// an image alone are `omlint -image`.
 //
-// With object file arguments, the objects are linked and verified across
+// With object file arguments, the objects are linked and checked across
 // the matrix cells directly.
 package main
 
@@ -52,7 +54,7 @@ func main() {
 	diff := flag.Int("diff", 0, "run N differential cases (generated programs, unoptimized vs every quick cell)")
 	seed := flag.Int64("seed", 1, "base seed for -diff program generation")
 	image := flag.String("image", "", "validate this linked image instead of running the matrix")
-	journal := flag.String("journal", "", "decision journal for -image translation validation")
+	journal := flag.String("journal", "", "decision journal for -image translation validation (required with -image)")
 	nostdlib := flag.Bool("nostdlib", false, "do not add the runtime library to object file arguments")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
 	flag.Parse()
@@ -85,9 +87,12 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// runImage validates one linked image: structural checks, plus translation
-// validation when its journal is supplied.
+// runImage translation-validates one linked image against its journal.
 func runImage(imgFile, journalFile string, jsonOut bool) {
+	if journalFile == "" {
+		fmt.Fprintln(os.Stderr, "omverify: -image requires -journal (use omlint -image for structural checks)")
+		os.Exit(2)
+	}
 	f, err := os.Open(imgFile)
 	if err != nil {
 		fail("%v", err)
@@ -97,19 +102,16 @@ func runImage(imgFile, journalFile string, jsonOut bool) {
 	if err != nil {
 		fail("%s: %v", imgFile, err)
 	}
-	var j *obs.JournalDoc
-	if journalFile != "" {
-		jf, err := os.Open(journalFile)
-		if err != nil {
-			fail("%v", err)
-		}
-		j, err = obs.ReadJournal(jf)
-		jf.Close()
-		if err != nil {
-			fail("%s: %v", journalFile, err)
-		}
+	jf, err := os.Open(journalFile)
+	if err != nil {
+		fail("%v", err)
 	}
-	doc, err := verify.ValidateImage(im, j)
+	j, err := obs.ReadJournal(jf)
+	jf.Close()
+	if err != nil {
+		fail("%s: %v", journalFile, err)
+	}
+	doc, err := verify.Translate(im, j)
 	if err != nil {
 		fail("%s: %v", imgFile, err)
 	}

@@ -182,9 +182,11 @@ func Checks() []CheckInfo {
 		{"DF006", "use-before-def", SevError,
 			"a register read reached by no definition on any path from the procedure entry (calls define every register; argument, callee-saved, and linkage registers are defined at entry)"},
 		{"DF007", "gat-slot-broken", SevError,
-			"a GAT address load must name an existing slot within the 16-bit displacement window of its cluster's GP, and (image level) the slot must hold an address inside the image — a text address only at a procedure entry"},
+			"a GAT address load must name an existing slot within the 16-bit displacement window of its cluster's GP, and (image level) every GAT slot, loaded or not, must hold an address inside the image — a text address only at a procedure entry"},
 		{"DF008", "dangling-link", SevError,
 			"an instruction still consumes the register of a GAT address load that was deleted or nullified without the use being rewritten (program level only; this is the invariant OM's passes must preserve and the one the fault-injection hook breaks)"},
+		{"DF009", "image-malformed", SevError,
+			"the image must validate, its entry must be a procedure entry, every procedure's GP must name a GAT, every text word must decode, and every branch must land in text (image level only)"},
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // FromProg builds the unified model from OM's symbolic form under a
 // layout plan (text addresses are the plan's estimates, data and GAT
 // addresses are final). It works on the lifted program before any pass
-// and on the transformed program after them — the pair `om -lint` runs in
-// shadow mode. The program and plan are only read.
+// and on the transformed program after them — the pair the static check
+// level analyzes (om -check static). The program and plan are only read.
 func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 	p := &Program{Source: "prog"}
 	procIdx := make(map[*om.Proc]int, len(pg.Procs))

@@ -136,8 +136,8 @@ type interp struct {
 	// reached[p][b]: block b has been entered by some round's worklist;
 	// unreached blocks keep all-⊥ states and transfer nothing.
 	reached [][]bool
-	// needsGP[p]: GP is live into the procedure entry — the calling
-	// contract includes a valid GP (deleted-prologue procedures).
+	// needsGP[p]: the procedure consumes the GP it is entered with — the
+	// calling contract includes a valid GP (deleted-prologue procedures).
 	needsGP []bool
 	// allExit caches the meet of every procedure's non-preserving exit GP
 	// — the after-call GP of a fully unresolved computed call — and
@@ -160,10 +160,7 @@ func newInterp(p *Program) *interp {
 	for i, pr := range p.Procs {
 		ip.blockIn[i] = make([]State, len(pr.Blocks))
 		ip.reached[i] = make([]bool, len(pr.Blocks))
-		if len(pr.Blocks) > 0 {
-			liveIn, _ := pr.Liveness()
-			ip.needsGP[i] = liveIn[0].Int&(1<<axp.GP) != 0
-		}
+		ip.needsGP[i] = pr.consumesEntryGP()
 		// Seed the calling contract: PV holds the procedure's own entry
 		// (the jsr convention the simulator also boots with) and GP is the
 		// cluster's — every procedure is entered with a valid GP or
@@ -199,6 +196,45 @@ func newInterp(p *Program) *interp {
 		}
 	}
 	return ip
+}
+
+// consumesEntryGP reports whether the GP a procedure is entered with can
+// be read before the procedure writes GP: by an instruction, by a call (the
+// callee may rely on it) or by a halt. Returns do not count: a procedure
+// that only hands GP back to its caller is GP-transparent, whichever
+// cluster calls it.
+func (pr *Proc) consumesEntryGP() bool {
+	if len(pr.Blocks) == 0 {
+		return false
+	}
+	seen := make([]bool, len(pr.Blocks))
+	seen[0] = true
+	work := []int{0}
+	for len(work) > 0 {
+		blk := &pr.Blocks[work[len(work)-1]]
+		work = work[:len(work)-1]
+		written := false
+		for i := blk.Start; i < blk.End && !written; i++ {
+			inst := &pr.Code[i]
+			if inst.Call || inst.Halt {
+				return true
+			}
+			if ints, _ := inst.In.ReadMasks(); !inst.Ret && ints&(1<<axp.GP) != 0 {
+				return true
+			}
+			written = inst.In.Writes() == axp.GP
+		}
+		if written {
+			continue
+		}
+		for _, s := range blk.Succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return false
 }
 
 // selfAddr is the abstract entry address of procedure i: symbolic at

@@ -150,17 +150,7 @@ func TestProgObserverStages(t *testing.T) {
 // after the passes) must be caught by the program-level analysis alone —
 // no simulator, no decision journal.
 func TestFaultHookCaughtStatically(t *testing.T) {
-	restore := om.SetFaultHookForTesting(func(pg *om.Prog) {
-		for _, pr := range pg.Procs {
-			for _, si := range pr.Insts {
-				if si.Lit != nil && !si.Lit.Converted && !si.Lit.Nullified && !si.Deleted {
-					si.Deleted = true
-					return
-				}
-			}
-		}
-	})
-	defer restore()
+	defer om.SetFaultHookForTesting(func(pg *om.Prog) { om.DeleteKeptLoad(pg) })()
 
 	objs := fixtureObjects(t)
 	p, err := link.Merge(objs)
@@ -206,6 +196,7 @@ func TestCheckCatalog(t *testing.T) {
 		"DF006": SevError,
 		"DF007": SevError,
 		"DF008": SevError,
+		"DF009": SevError,
 	}
 	got := Checks()
 	if len(got) != len(want) {

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/buildcache"
-	"repro/internal/dataflow"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/tcc"
-	"repro/internal/verify"
 )
 
 // BuildMode selects how the benchmark's user sources are compiled.
@@ -97,15 +95,6 @@ type Measurement struct {
 	// Journal is the cell's decision journal (Runner.Trace runs through an
 	// OM link mode only; nil otherwise).
 	Journal *obs.JournalDoc
-	// Verify is the cell's om-verify/v1 verdict document (Runner.Verify
-	// runs through an OM link mode only; nil otherwise). A cell whose image
-	// fails validation never produces a Measurement — the run errors.
-	Verify *verify.Doc
-	// Lint is the cell's static om-lint/v1 report over the linked image
-	// (Runner.Lint runs through an OM link mode only; nil otherwise). A
-	// cell whose image carries an error finding never produces a
-	// Measurement — the run errors.
-	Lint *dataflow.Report
 }
 
 // Result aggregates one benchmark across the matrix.
@@ -155,18 +144,6 @@ type Runner struct {
 	// Trace collects a decision journal for every OM-linked matrix cell
 	// (Measurement.Journal).
 	Trace bool
-	// Verify translation-validates every OM-linked cell's image against
-	// its decision journal (forcing a journal internally even when Trace is
-	// off) and fails the cell when a rewrite cannot be proven sound. The
-	// verdict document lands in Measurement.Verify.
-	Verify bool
-	// Lint statically analyzes every OM-linked cell's image with the
-	// whole-program dataflow checks and fails the cell on any error
-	// finding. With Verify also on, the two engines are cross-checked
-	// (verify.Doc.CrossCheckStatic) so a rewrite cannot be dynamically
-	// sound and statically broken at once. The report lands in
-	// Measurement.Lint.
-	Lint bool
 	// Span, when non-nil, receives one child span per pipeline stage the
 	// runner executes (harness/compile, harness/link with the om phases
 	// nested inside, harness/sim), annotated with the benchmark and cell so
@@ -238,19 +215,6 @@ func WithSpan(sp *obs.Span) RunnerOption {
 	return func(r *Runner) { r.Span = sp }
 }
 
-// WithVerify translation-validates every OM-linked cell's image against its
-// decision journal, failing the cell on an unprovable rewrite (see
-// Runner.Verify).
-func WithVerify(on bool) RunnerOption {
-	return func(r *Runner) { r.Verify = on }
-}
-
-// WithLint statically analyzes every OM-linked cell's image, failing the
-// cell on any error finding (see Runner.Lint).
-func WithLint(on bool) RunnerOption {
-	return func(r *Runner) { r.Lint = on }
-}
-
 // New builds a runner with the default timing model, then applies the
 // options in order.
 func New(opts ...RunnerOption) (*Runner, error) {
@@ -262,12 +226,6 @@ func New(opts ...RunnerOption) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// NewRunner builds a runner with the default timing model.
-//
-// Deprecated: use New, optionally with RunnerOptions. This shim survives
-// one release for out-of-tree callers and then goes away.
-func NewRunner() (*Runner, error) { return New() }
 
 func (r *Runner) logf(format string, args ...any) {
 	if r.Logger != nil {
@@ -388,13 +346,12 @@ func (r *Runner) compile(b spec.Benchmark, mode BuildMode) ([]*objfile.Object, t
 	return objs, dt, nil
 }
 
-// linkVariant produces the image (and OM stats and, when tracing,
-// verifying, or linting, the decision journal, verdict document, and
-// static findings report) for one link mode.
-func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode LinkMode) (*objfile.Image, *om.Stats, *obs.JournalDoc, *verify.Doc, *dataflow.Report, time.Duration, error) {
+// linkVariant produces the image (and OM stats and, when tracing, the
+// decision journal) for one link mode.
+func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode LinkMode) (*objfile.Image, *om.Stats, *obs.JournalDoc, time.Duration, error) {
 	lib, err := r.libObjects()
 	if err != nil {
-		return nil, nil, nil, nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
 	all := append(append([]*objfile.Object(nil), objs...), lib...)
 	sp := r.Span.Child("harness/link")
@@ -405,13 +362,13 @@ func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode L
 	switch mode {
 	case LinkStandard:
 		im, err := link.Link(all)
-		return im, nil, nil, nil, nil, time.Since(start), err
+		return im, nil, nil, time.Since(start), err
 	default:
 		opts := []om.Option{om.WithMetrics(r.Metrics), om.WithSpan(sp)}
 		if r.Memo != nil {
 			opts = append(opts, om.WithMemo(r.Memo))
 		}
-		if r.Trace || r.Verify {
+		if r.Trace {
 			opts = append(opts, om.WithTrace())
 		}
 		switch mode {
@@ -426,47 +383,13 @@ func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode L
 		}
 		p, _, err := r.Programs.GetOrMerge(all)
 		if err != nil {
-			return nil, nil, nil, nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
 		res, err := om.Run(ctx, p, opts...)
 		if err != nil {
-			return nil, nil, nil, nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
-		var vdoc *verify.Doc
-		if r.Verify {
-			vdoc, err = verify.ValidateImage(res.Image, res.Journal)
-			if err == nil {
-				err = vdoc.Err()
-			}
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("verify %v: %w", mode, err)
-			}
-		}
-		var ldoc *dataflow.Report
-		if r.Lint {
-			ldoc, err = dataflow.AnalyzeImage(res.Image)
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %w", mode, err)
-			}
-			for _, f := range ldoc.Findings {
-				if f.Severity == dataflow.SevError {
-					return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %d error finding(s); first: %s",
-						mode, ldoc.Errors(), f.String())
-				}
-			}
-			if vdoc != nil {
-				// Both engines ran over the same image: prove they agree.
-				if err := vdoc.CrossCheckStatic(ldoc); err != nil {
-					return nil, nil, nil, nil, nil, 0, fmt.Errorf("lint %v: %w", mode, err)
-				}
-			}
-		}
-		journal := res.Journal
-		if !r.Trace {
-			// The journal, if any, was forced for verification only.
-			journal = nil
-		}
-		return res.Image, res.Stats, journal, vdoc, ldoc, time.Since(start), nil
+		return res.Image, res.Stats, res.Journal, time.Since(start), nil
 	}
 }
 
@@ -494,7 +417,7 @@ func (r *Runner) RunBenchmark(ctx context.Context, b spec.Benchmark) (*Result, e
 
 // measureCell links and simulates one matrix cell.
 func (r *Runner) measureCell(ctx context.Context, b spec.Benchmark, v Variant, objs []*objfile.Object) (*Measurement, error) {
-	im, st, journal, vdoc, ldoc, dt, err := r.linkVariant(ctx, objs, v.Link)
+	im, st, journal, dt, err := r.linkVariant(ctx, objs, v.Link)
 	if err != nil {
 		return nil, fmt.Errorf("%s %v/%v: %w", b.Name, v.Build, v.Link, err)
 	}
@@ -518,8 +441,6 @@ func (r *Runner) measureCell(ctx context.Context, b spec.Benchmark, v Variant, o
 		TextBytes: len(im.TextSegment().Data),
 		GATBytes:  im.GATBytes(),
 		Journal:   journal,
-		Verify:    vdoc,
-		Lint:      ldoc,
 	}, nil
 }
 

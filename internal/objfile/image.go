@@ -101,16 +101,6 @@ func (im *Image) FindSymbol(name string) (ImageSymbol, bool) {
 	return ImageSymbol{}, false
 }
 
-// ProcAt returns the procedure symbol covering addr, if any.
-func (im *Image) ProcAt(addr uint64) (ImageSymbol, bool) {
-	for _, s := range im.Symbols {
-		if s.Kind == SymProc && addr >= s.Addr && addr < s.Addr+s.Size {
-			return s, true
-		}
-	}
-	return ImageSymbol{}, false
-}
-
 // SortSymbols orders the symbol table by address then name, for stable output.
 func (im *Image) SortSymbols() {
 	sort.Slice(im.Symbols, func(i, j int) bool {

@@ -170,12 +170,6 @@ func TestImageQueries(t *testing.T) {
 	if _, ok := im.FindSymbol("nosuch"); ok {
 		t.Error("FindSymbol(nosuch) should fail")
 	}
-	if p, ok := im.ProcAt(TextBase + 8); !ok || p.Name != "main" {
-		t.Errorf("ProcAt = %+v, %v", p, ok)
-	}
-	if _, ok := im.ProcAt(DataBase); ok {
-		t.Error("ProcAt(data) should fail")
-	}
 	if im.TextSegment() == nil || im.DataSegment() == nil {
 		t.Error("segment lookups failed")
 	}

@@ -17,3 +17,18 @@ func SetFaultHookForTesting(h func(*Prog)) (restore func()) {
 	faultHook = h
 	return func() { faultHook = old }
 }
+
+// DeleteKeptLoad is the standard injected fault: it deletes the first
+// address load the passes kept, as a buggy pass would, leaving its uses
+// reading a stale register. It reports whether it found a load to delete.
+func DeleteKeptLoad(pg *Prog) bool {
+	for _, pr := range pg.Procs {
+		for _, si := range pr.Insts {
+			if si.Lit != nil && !si.Lit.Converted && !si.Lit.Nullified && !si.Deleted {
+				si.Deleted = true
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -107,7 +107,7 @@ const (
 
 // WithProgObserver invokes fn on the symbolic program at StageLifted (under
 // a fresh unoptimized plan) and again at StageOptimized (under the final
-// plan) — the two snapshots `om -lint` compares in shadow mode. The observer
+// plan) — the two snapshots the static check level analyzes. The observer
 // must treat the program and plan as read-only; an error aborts the Run.
 // Observed runs bypass the pass memo's warm path so the observer sees the
 // real pipeline, never a replay, and instrumentation runs ignore the option.

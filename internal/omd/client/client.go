@@ -1,5 +1,5 @@
 // Package client is the typed HTTP client for the omd link service: it
-// submits omd-job/v1 specs, polls job status, and fetches results, speaking
+// submits omd-job/v2 specs, polls job status, and fetches results, speaking
 // the wire types of package omd directly.
 package client
 
@@ -72,6 +72,19 @@ func (c *Client) do(req *http.Request) (*http.Response, error) {
 		ae.Message = body.Error
 	}
 	return nil, ae
+}
+
+func (c *Client) getBytes(ctx context.Context, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }
 
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
@@ -205,58 +218,17 @@ func (c *Client) List(ctx context.Context) ([]omd.JobStatus, error) {
 
 // Image fetches a finished job's linked image bytes.
 func (c *Client) Image(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/image", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.getBytes(ctx, "/jobs/"+id+"/image")
 }
 
 // Journal fetches a traced job's decision journal (om-journal/v1 bytes).
 func (c *Client) Journal(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/journal", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	return c.getBytes(ctx, "/jobs/"+id+"/journal")
 }
 
-// Verify fetches a verified job's verdict document (om-verify/v1 bytes).
-func (c *Client) Verify(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/verify", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
-}
-
-// Lint fetches a linted job's findings documents (om-lint/v1 bytes).
-func (c *Client) Lint(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/jobs/"+id+"/lint", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+// Check fetches a checked job's om-check/v1 document.
+func (c *Client) Check(ctx context.Context, id string) ([]byte, error) {
+	return c.getBytes(ctx, "/jobs/"+id+"/check")
 }
 
 // Trace fetches a job's span tree (om-trace/v1). While the job is live the

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/buildcache"
-	"repro/internal/dataflow"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -49,12 +48,11 @@ type Config struct {
 	// MemoLimit bounds the completed-result memo (FIFO eviction); <= 0
 	// selects 256 entries.
 	MemoLimit int
-	// VerifySample, when > 0, shadow-verifies every Nth fresh execution:
-	// the linked image is translation-validated against its decision
-	// journal alongside the job. A shadow failure logs and bumps
-	// omd/verify-shadow-failures but never fails the job — only jobs that
-	// set Verify in their spec fail on a bad verdict. 0 disables sampling.
-	VerifySample int
+	// CheckSample, when > 0, shadow-checks every Nth fresh execution of an
+	// unchecked job at the full level. A shadow failure logs and bumps
+	// omd/check-shadow-failures but never fails the job — only jobs whose
+	// spec sets a check level fail on a bad check. 0 disables sampling.
+	CheckSample int
 	// Cache persists compiled objects and linked images across jobs (and,
 	// with a directory, across restarts). Nil runs uncached.
 	Cache *buildcache.Cache
@@ -114,8 +112,7 @@ type result struct {
 	image         []byte
 	stats         *om.Stats
 	journal       *obs.JournalDoc
-	verify        *verify.Doc
-	lint          *LintDoc
+	check         *verify.CheckDoc
 	sim           *SimStats
 	imageCacheHit bool
 }
@@ -185,9 +182,9 @@ type Server struct {
 	// and may block to create controlled congestion.
 	execGate func(key string)
 
-	// verifySeq counts fresh om.Run executions for VerifySample's
-	// every-Nth shadow-verification draw.
-	verifySeq atomic.Uint64
+	// checkSeq counts fresh executions for CheckSample's every-Nth
+	// shadow-check draw.
+	checkSeq atomic.Uint64
 
 	libOnce sync.Once
 	lib     []*objfile.Object
@@ -541,8 +538,8 @@ func (s *Server) memoize(key string, res *result) {
 // upload decode, and merge; and om.Run itself runs against the server's
 // memo, so an options-only relink of a resident program re-lifts and
 // re-analyzes nothing that the option change did not invalidate. A traced
-// job bypasses the image cache — a journal cannot be reproduced from a
-// cached image.
+// or checked job bypasses the image cache — neither a journal nor the
+// symbolic program can be reproduced from a cached image.
 //
 // sp is the execution span on the lead job's trace; every stage becomes a
 // child, so the span tree mirrors the warm-path short-circuits (a cached
@@ -551,21 +548,18 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// A verifying job needs the journal of the run that produced its image,
-	// so it can never be answered from the image cache (same reason as a
-	// traced job). Shadow sampling is drawn here, before the cache lookup
-	// would short-circuit, so every Nth fresh execution is checked even
-	// when its image could have been served cold.
-	verifying := rs.spec.Verify
-	shadow := false
-	if !verifying && s.cfg.VerifySample > 0 &&
-		s.verifySeq.Add(1)%uint64(s.cfg.VerifySample) == 0 {
-		shadow = true
+	// A checked job needs the symbolic program and the journal of the run
+	// that produced its image, so it can never be answered from the image
+	// cache (same reason as a traced job). Shadow sampling is drawn here,
+	// before the cache lookup would short-circuit, so every Nth fresh
+	// execution is checked even when its image could have been served cold.
+	chk := &verify.Checker{Level: rs.check}
+	shadow := chk.Level == verify.CheckOff && s.cfg.CheckSample > 0 &&
+		s.checkSeq.Add(1)%uint64(s.cfg.CheckSample) == 0
+	if shadow {
+		chk.Level = verify.CheckFull
 	}
-	// A linting job needs the symbolic program at both observer stages,
-	// which only a fresh execution produces — no cache retains it.
-	linting := rs.spec.Lint
-	if !rs.traced && !verifying && !shadow && !linting {
+	if !rs.traced && chk.Level == verify.CheckOff {
 		ics := sp.Child("image-cache")
 		im, ok := s.cache.GetImage(rs.key)
 		ics.SetAttr("hit", strconv.FormatBool(ok))
@@ -630,54 +624,26 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	if rs.prof != nil {
 		opts = append(opts, om.WithProfile(rs.prof))
 	}
-	if (verifying || shadow) && !rs.traced {
-		// Validation replays the journal, so force one even when the client
-		// did not ask for a trace; it is stripped from the result below.
-		opts = append(opts, om.WithTrace())
-	}
-	var progReports []*dataflow.Report
-	if linting {
-		// The observer runs synchronously inside om.Run; each stage gets
-		// its own analysis span on the job trace.
-		opts = append(opts, om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-			as := sp.Child("lint-" + string(stage))
-			defer as.End()
-			rep, err := dataflow.AnalyzeProg(pg, pl, string(stage))
-			if err != nil {
-				return err
-			}
-			as.SetAttr("checked", strconv.FormatUint(rep.Checked, 10))
-			as.SetAttr("errors", strconv.Itoa(rep.Errors()))
-			progReports = append(progReports, rep)
-			return nil
-		}))
-	}
+	opts = append(opts, chk.Options()...)
 	omres, err := om.Run(ctx, p, opts...)
 	linkDone()
 	omSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	var vdoc *verify.Doc
-	if verifying || shadow {
-		if vdoc, err = s.verifyImage(omres.Image, omres.Journal, sp, verifying); err != nil {
+	res := &result{stats: omres.Stats, journal: omres.Journal}
+	if chk.Level != verify.CheckOff {
+		if res.check, err = s.check(chk, omres, sp, shadow); err != nil {
 			return nil, err
 		}
 	}
-	var ldoc *LintDoc
-	if linting {
-		if ldoc, err = s.lintImage(progReports, omres.Image, sp); err != nil {
-			return nil, err
-		}
-	}
-	if !rs.traced && !verifying && !linting {
+	if !rs.traced && rs.check == verify.CheckOff {
 		if err := s.cache.PutImage(rs.key, omres.Image); err != nil {
 			return nil, err
 		}
 	}
-	res := &result{stats: omres.Stats, journal: omres.Journal, verify: vdoc, lint: ldoc}
 	if !rs.traced {
-		// The journal, if any, was forced for verification only.
+		// The journal, if any, was forced for the check only.
 		res.journal = nil
 	}
 	if res.image, err = imageBytes(omres.Image); err != nil {
@@ -735,82 +701,41 @@ func (s *Server) simulate(ctx context.Context, im *objfile.Image, rs *resolved, 
 	}, nil
 }
 
-// verifyImage translation-validates a freshly linked image against the
-// decision journal of the run that produced it, under a "verify" child span
-// with the verdict totals as attributes. An explicit (spec.Verify) failure
-// fails the job; a sampled shadow failure logs and counts, so background
-// verification can never break a build that was not asked to prove itself.
-func (s *Server) verifyImage(im *objfile.Image, j *obs.JournalDoc, sp *obs.Span, explicit bool) (*verify.Doc, error) {
-	vs := sp.Child("verify")
-	defer vs.End()
-	mode := "shadow"
-	if explicit {
-		mode = "explicit"
+// check completes a checked execution's document under one "check" child
+// span carrying the level, the mode and the totals. A failed check fails the
+// job unless it is a sampled shadow check, which logs and counts instead, so
+// background checking never breaks a build that was not asked to prove
+// itself; a failed shadow check attaches no document.
+func (s *Server) check(chk *verify.Checker, omres *om.Result, sp *obs.Span, shadow bool) (*verify.CheckDoc, error) {
+	cs := sp.Child("check")
+	defer cs.End()
+	mode := "explicit"
+	if shadow {
+		mode = "shadow"
 	}
-	vs.SetAttr("mode", mode)
-	s.reg.Counter("omd/verify-runs").Add(1)
-	verifyDone := obs.StartSpan(s.reg.Timer("omd/verify"))
-	doc, err := verify.ValidateImage(im, j)
-	verifyDone()
+	cs.SetAttr("level", chk.Level.String())
+	cs.SetAttr("mode", mode)
+	s.reg.Counter("omd/check-runs").Add(1)
+	checkDone := obs.StartSpan(s.reg.Timer("omd/check"))
+	doc, err := chk.Finish(omres)
+	checkDone()
 	if doc != nil {
-		vs.SetAttr("checked", strconv.FormatUint(doc.Checked, 10))
-		vs.SetAttr("failed", strconv.FormatUint(doc.Failed, 10))
-		s.reg.Counter("omd/verify-checked").Add(doc.Checked)
-		s.reg.Counter("omd/verify-failed").Add(doc.Failed)
-	}
-	if err == nil {
+		cs.SetAttr("checked", strconv.FormatUint(doc.Checked(), 10))
+		cs.SetAttr("errors", strconv.FormatUint(doc.Errors(), 10))
+		s.reg.Counter("omd/check-checked").Add(doc.Checked())
+		s.reg.Counter("omd/check-errors").Add(doc.Errors())
 		err = doc.Err()
 	}
 	if err != nil {
-		vs.SetAttr("outcome", "failed")
-		if explicit {
-			return nil, fmt.Errorf("omd: verification failed: %w", err)
+		cs.SetAttr("outcome", "failed")
+		if !shadow {
+			return nil, fmt.Errorf("omd: %w", err)
 		}
-		s.reg.Counter("omd/verify-shadow-failures").Add(1)
-		s.slog.Warn("omd shadow verification failed", "err", err.Error())
+		s.reg.Counter("omd/check-shadow-failures").Add(1)
+		s.slog.Warn("omd shadow check failed", "err", err.Error())
 		return nil, nil
 	}
-	vs.SetAttr("outcome", "ok")
-	return doc, nil
-}
-
-// lintImage completes a lint job's analysis: the emitted image joins the
-// two symbolic-program reports the observer collected, under a "lint"
-// child span with the finding totals as attributes. Any error-severity
-// finding across the three documents fails the job.
-func (s *Server) lintImage(progReports []*dataflow.Report, im *objfile.Image, sp *obs.Span) (*LintDoc, error) {
-	ls := sp.Child("lint")
-	defer ls.End()
-	s.reg.Counter("omd/lint-runs").Add(1)
-	lintDone := obs.StartSpan(s.reg.Timer("omd/lint"))
-	imgRep, err := dataflow.AnalyzeImage(im)
-	lintDone()
-	if err != nil {
-		ls.SetAttr("outcome", "failed")
-		return nil, fmt.Errorf("omd: lint: %w", err)
-	}
-	doc := &LintDoc{Schema: dataflow.Schema, Reports: append(progReports, imgRep)}
-	ls.SetAttr("checked", strconv.FormatUint(doc.Checked(), 10))
-	ls.SetAttr("errors", strconv.Itoa(doc.Errors()))
-	s.reg.Counter("omd/lint-checked").Add(doc.Checked())
-	s.reg.Counter("omd/lint-errors").Add(uint64(doc.Errors()))
-	if n := doc.Errors(); n > 0 {
-		ls.SetAttr("outcome", "failed")
-		var first string
-		for _, r := range doc.Reports {
-			for _, f := range r.Findings {
-				if f.Severity == dataflow.SevError {
-					first = f.String()
-					break
-				}
-			}
-			if first != "" {
-				break
-			}
-		}
-		return nil, fmt.Errorf("omd: lint failed: %d error finding(s); first: %s", n, first)
-	}
-	ls.SetAttr("outcome", "ok")
+	cs.SetAttr("outcome", "ok")
 	return doc, nil
 }
 
@@ -885,14 +810,9 @@ func (s *Server) status(rec *jobRecord) JobStatus {
 		if rec.res.journal != nil {
 			st.JournalEvents = len(rec.res.journal.Events)
 		}
-		if rec.res.verify != nil {
-			st.Verified = true
-			st.VerifyChecked = rec.res.verify.Checked
-			st.VerifyFailed = rec.res.verify.Failed
-		}
-		if rec.res.lint != nil {
-			st.Linted = true
-			st.LintChecked = rec.res.lint.Checked()
+		if d := rec.res.check; d != nil {
+			st.Check = d.Level
+			st.CheckSites = d.Checked()
 		}
 	}
 	return st
@@ -1022,10 +942,8 @@ func (s *Server) retryAfter() int {
 //	GET  /jobs/{id}          one job's status
 //	GET  /jobs/{id}/image    the linked image (octet-stream)
 //	GET  /jobs/{id}/journal  the decision journal (om-journal/v1)
-//	GET  /jobs/{id}/verify   the verdict document (om-verify/v1; jobs
-//	                         submitted with verify only)
-//	GET  /jobs/{id}/lint     the findings documents (om-lint/v1; jobs
-//	                         submitted with lint only)
+//	GET  /jobs/{id}/check    the check document (om-check/v1; checked
+//	                         jobs only)
 //	GET  /jobs/{id}/trace    the job's span tree (om-trace/v1; live
 //	                         snapshot while the job runs)
 //	GET  /debug/flights      recent completed traces, newest first (?n=)
@@ -1038,8 +956,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}/image", s.handleImage)
 	mux.HandleFunc("GET /jobs/{id}/journal", s.handleJournal)
-	mux.HandleFunc("GET /jobs/{id}/verify", s.handleVerify)
-	mux.HandleFunc("GET /jobs/{id}/lint", s.handleLint)
+	mux.HandleFunc("GET /jobs/{id}/check", s.handleCheck)
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /debug/flights", s.handleFlights)
 	return mux
@@ -1084,6 +1001,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&js); err != nil {
+		// A document of another version fails on its fields. The decoder
+		// still fills the known ones, so name the version this server
+		// speaks instead.
+		if js.Version != "" && js.Version != SpecVersion {
+			err = versionError(js.Version)
+		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
@@ -1235,7 +1158,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	_ = obs.WriteJournal(w, res.journal)
 }
 
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	rec := s.jobFor(w, r)
 	if rec == nil {
 		return
@@ -1243,26 +1166,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	res := rec.res
 	s.mu.Unlock()
-	if res == nil || res.verify == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no verdicts (job not submitted with verify)"})
+	if res == nil || res.check == nil {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no check document (job not checked)"})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = verify.Write(w, res.verify)
-}
-
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	rec := s.jobFor(w, r)
-	if rec == nil {
-		return
-	}
-	s.mu.Lock()
-	res := rec.res
-	s.mu.Unlock()
-	if res == nil || res.lint == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no findings (job not submitted with lint)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, res.lint)
+	writeJSON(w, http.StatusOK, res.check)
 }

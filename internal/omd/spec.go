@@ -5,15 +5,15 @@
 // build cache warm across requests — the WHOPR-shaped answer to running
 // whole-program optimization repeatedly over the same inputs.
 //
-// A job is an omd-job/v1 document (JobSpec): the program to link (a named
+// A job is an omd-job/v2 document (JobSpec): the program to link (a named
 // benchmark of the suite, or uploaded object modules), the resolved OM
 // option set in its canonical om-options/v1 form, an optional om-profile/v1
-// document for profile-guided layout, and an optional simulation of the
-// linked image. The spec maps one-to-one onto om.Run options, so a remote
-// job and a local cmd/om invocation of the same inputs produce
-// byte-identical images; the server's coalescing key is a content hash over
-// everything that determines the result, shared with the build cache's
-// image store.
+// document for profile-guided layout, the check level the link must pass,
+// and an optional simulation of the linked image. The spec maps one-to-one
+// onto om.Run options, so a remote job and a local cmd/om invocation of the
+// same inputs produce byte-identical images; the server's coalescing key is
+// a content hash over everything that determines the result, shared with
+// the build cache's image store.
 package omd
 
 import (
@@ -25,16 +25,16 @@ import (
 	"time"
 
 	"repro/internal/buildcache"
-	"repro/internal/dataflow"
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/profile"
 	benchspec "repro/internal/spec"
+	"repro/internal/verify"
 )
 
 // SpecVersion tags the job document format; submissions carrying any other
 // version are rejected before admission.
-const SpecVersion = "omd-job/v1"
+const SpecVersion = "omd-job/v2"
 
 // JobSpec is the serializable description of one link job. Exactly one of
 // Benchmark and Objects must be set.
@@ -61,19 +61,14 @@ type JobSpec struct {
 	// Simulate runs the linked image in the timing simulator and returns
 	// dynamic statistics with the result.
 	Simulate bool `json:"simulate,omitempty"`
-	// Verify translation-validates the freshly linked image against its
-	// decision journal (om-verify/v1); a rewrite the validator cannot
-	// prove sound fails the job. Verified jobs always execute — the
-	// persistent image cache cannot answer them, because validation needs
-	// the journal of the run that produced the image.
-	Verify bool `json:"verify,omitempty"`
-	// Lint runs the static whole-program dataflow analysis over the job:
-	// the symbolic program before and after the optimization passes, and
-	// the emitted image. Any error-severity finding fails the job; the
-	// findings documents are served at GET /jobs/{id}/lint. Like Verify,
-	// a linted job always executes — the analysis needs the symbolic
-	// program, which no cache retains.
-	Lint bool `json:"lint,omitempty"`
+	// Check is the level the link must prove itself at: "off" (or empty),
+	// "static" (dataflow analysis of the lifted program, the optimized
+	// program and the image) or "full" (static plus translation validation
+	// of the decision journal). Any error finding or failed verdict fails
+	// the job; the om-check/v1 document is served at GET /jobs/{id}/check.
+	// A checked job always executes: no cache retains the symbolic program
+	// or the journal the check needs.
+	Check string `json:"check,omitempty"`
 	// MaxInstructions caps a simulation (0 = server default).
 	MaxInstructions uint64 `json:"max_instructions,omitempty"`
 	// TimeoutMS overrides the server's per-job deadline (capped by it).
@@ -91,6 +86,7 @@ type resolved struct {
 	canonOpt []byte      // canonical om-options/v1 bytes
 	opts     []om.Option // decoded option list (level/sched/ablation/trace/…)
 	traced   bool        // options request a decision journal
+	check    verify.CheckLevel
 	prof     *profile.Profile
 	bench    benchspec.Benchmark // benchmark jobs
 	eachMode bool                // compile-each (benchmark jobs)
@@ -108,7 +104,7 @@ type resolved struct {
 // two jobs with equal keys are interchangeable and safe to coalesce.
 func (js *JobSpec) resolve() (*resolved, error) {
 	if js.Version != SpecVersion {
-		return nil, fmt.Errorf("omd: job version %q, want %q", js.Version, SpecVersion)
+		return nil, versionError(js.Version)
 	}
 	if (js.Benchmark == "") == (len(js.Objects) == 0) {
 		return nil, fmt.Errorf("omd: exactly one of benchmark and objects must be set")
@@ -117,6 +113,10 @@ func (js *JobSpec) resolve() (*resolved, error) {
 		return nil, fmt.Errorf("omd: negative timeout_ms")
 	}
 	r := &resolved{spec: *js, eachMode: true}
+	var err error
+	if r.check, err = verify.ParseCheckLevel(js.Check); err != nil {
+		return nil, fmt.Errorf("omd: %w", err)
+	}
 
 	optDoc := js.Options
 	if optDoc == nil {
@@ -185,11 +185,16 @@ func (js *JobSpec) resolve() (*resolved, error) {
 	return r, nil
 }
 
+// versionError rejects a job document of another version.
+func versionError(v string) error {
+	return fmt.Errorf("omd: job version %q, want %q (v2 replaced verify and lint with check)", v, SpecVersion)
+}
+
 // variant is the non-program half of the coalescing key: the canonical
 // option form plus every request knob that changes the result.
 func (r *resolved) variant() string {
-	return fmt.Sprintf("omd/%s/nostdlib=%v/sim=%v/maxinst=%d/verify=%v/lint=%v",
-		r.canonOpt, r.spec.NoStdlib, r.spec.Simulate, r.spec.MaxInstructions, r.spec.Verify, r.spec.Lint)
+	return fmt.Sprintf("omd/%s/nostdlib=%v/sim=%v/maxinst=%d/check=%s",
+		r.canonOpt, r.spec.NoStdlib, r.spec.Simulate, r.spec.MaxInstructions, r.check)
 }
 
 func (r *resolved) computeKey() error {
@@ -308,31 +313,6 @@ const (
 	JobFailed JobState = "failed"
 )
 
-// LintDoc bundles a linted job's findings documents: the symbolic program
-// at both observer stages plus the emitted image, in analysis order.
-type LintDoc struct {
-	Schema  string             `json:"schema"`
-	Reports []*dataflow.Report `json:"reports"`
-}
-
-// Checked totals the evaluated check sites across the reports.
-func (d *LintDoc) Checked() uint64 {
-	var n uint64
-	for _, r := range d.Reports {
-		n += r.Checked
-	}
-	return n
-}
-
-// Errors counts error-severity findings across the reports.
-func (d *LintDoc) Errors() int {
-	n := 0
-	for _, r := range d.Reports {
-		n += r.Errors()
-	}
-	return n
-}
-
 // SimStats is the dynamic half of a job result.
 type SimStats struct {
 	Exit         int64   `json:"exit"`
@@ -364,19 +344,12 @@ type JobStatus struct {
 	Sim           *SimStats  `json:"sim,omitempty"`
 	ImageBytes    int        `json:"image_bytes,omitempty"`
 	JournalEvents int        `json:"journal_events,omitempty"`
-	// Verified: the result carries an om-verify/v1 verdict document, served
-	// at GET /jobs/{id}/verify. VerifyChecked/VerifyFailed are its totals
-	// (an explicit Verify job with failures never reaches JobDone, so a
-	// done job always shows VerifyFailed == 0).
-	Verified      bool   `json:"verified,omitempty"`
-	VerifyChecked uint64 `json:"verify_checked,omitempty"`
-	VerifyFailed  uint64 `json:"verify_failed,omitempty"`
-	// Linted: the result carries om-lint/v1 findings documents, served at
-	// GET /jobs/{id}/lint. LintChecked totals the evaluated check sites
-	// across the lifted-program, optimized-program, and image analyses (an
-	// explicit Lint job with error findings never reaches JobDone).
-	Linted      bool   `json:"linted,omitempty"`
-	LintChecked uint64 `json:"lint_checked,omitempty"`
+	// Check is the level the result was checked at ("static" or "full";
+	// empty when unchecked), and CheckSites totals the check sites and
+	// validated journal events of its om-check/v1 document, served at GET
+	// /jobs/{id}/check. A job whose check fails never reaches JobDone.
+	Check      string `json:"check,omitempty"`
+	CheckSites uint64 `json:"check_sites,omitempty"`
 	// TraceID correlates this job with GET /jobs/{id}/trace, the flight
 	// recorder, and the server's structured logs.
 	TraceID string `json:"trace_id,omitempty"`

@@ -107,6 +107,14 @@ func TestConcurrentMixedOptionsRaceClean(t *testing.T) {
 	const clients = 50
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
+	// Link each program once before the storm: the program cache has no
+	// singleflight, so two concurrent first links of one program could
+	// both miss it.
+	for _, first := range []*omd.JobSpec{specs[0], specs[5]} {
+		if st, err := c.SubmitWait(ctx, first); err != nil || st.State != omd.JobDone {
+			t.Fatalf("first link of %s: %v %+v", first.Benchmark, err, st)
+		}
+	}
 	images := make([][]byte, clients)
 	errs := make([]error, clients)
 	var wg sync.WaitGroup

@@ -197,9 +197,51 @@ func (mb *moduleBuilder) finishLita() {
 	}
 }
 
+// dropIndirectUses clears every LITUSE link of a literal that has a use not
+// reached directly by the load's register: a use behind a call or another
+// write of that register reads a reloaded copy (tcc spills live temporaries
+// across calls), so the loaded value also reaches an unmarked reader, the
+// spill store. A linker trusting the remaining links would delete the load
+// under that reader.
+func dropIndirectUses(f *Frag) {
+	litAt := make(map[int]int)
+	for i, mi := range f.Insts {
+		if mi.Lit != nil {
+			litAt[mi.Lit.ID] = i
+		}
+	}
+	indirect := make(map[int]bool)
+	for i, mi := range f.Insts {
+		if mi.Use == nil {
+			continue
+		}
+		li, ok := litAt[mi.Use.LitID]
+		if !ok {
+			continue // emitFrag reports the dangling link
+		}
+		if li > i {
+			indirect[mi.Use.LitID] = true
+			continue
+		}
+		r := f.Insts[li].In.Ra
+		for _, mj := range f.Insts[li+1 : i] {
+			if op := mj.In.Op; op == axp.JSR || op == axp.BSR || mj.CallSym != "" || mj.In.Writes() == r {
+				indirect[mi.Use.LitID] = true
+				break
+			}
+		}
+	}
+	for _, mi := range f.Insts {
+		if mi.Use != nil && indirect[mi.Use.LitID] {
+			mi.Use = nil
+		}
+	}
+}
+
 // emitFrag appends the fragment to .text, producing the procedure symbol and
 // all relocations. exported and usesGP describe the procedure.
 func (mb *moduleBuilder) emitFrag(f *Frag, exported bool) error {
+	dropIndirectUses(f)
 	text := &mb.obj.Sections[objfile.SecText]
 	base := uint64(len(text.Data))
 

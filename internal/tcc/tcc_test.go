@@ -599,3 +599,61 @@ func TestSemaCornerCases(t *testing.T) {
 		}
 	}
 }
+
+// TestLituseNotAcrossCall: an address loaded before a call and consumed
+// after it is spilled and reloaded around the call, so its use reads the
+// reloaded copy. Such a use must carry no LITUSE: the link would let the
+// linker delete the load while the spill store still reads its register.
+func TestLituseNotAcrossCall(t *testing.T) {
+	src := `
+long g[4];
+long f(long x) { return x + 1; }
+long main() {
+	g[1] = f(3);
+	return g[1];
+}
+`
+	obj := compileOne(t, src, DefaultOptions())
+	insts, err := axp.DecodeAll(obj.Sections[objfile.SecText].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lits := map[uint64]bool{}
+	for _, r := range obj.Relocs {
+		if r.Kind == objfile.RLiteral && r.Section == objfile.SecText {
+			lits[r.Offset] = true
+		}
+	}
+	// The case must occur: some literal's register is spilled to the
+	// stack before a call.
+	spilled := false
+	for off := range lits {
+		reg := insts[off/4].Ra
+		for _, in := range insts[off/4+1:] {
+			if in.Op == axp.JSR || in.Op == axp.BSR {
+				break
+			}
+			if in.Op == axp.STQ && in.Ra == reg && in.Rb == axp.SP {
+				spilled = true
+			}
+		}
+	}
+	if !spilled {
+		t.Fatal("fixture no longer spills an address across a call")
+	}
+	for _, r := range obj.Relocs {
+		if r.Kind != objfile.RLituseBase && r.Kind != objfile.RLituseJSR {
+			continue
+		}
+		if !lits[r.Extra] {
+			t.Fatalf("LITUSE at %#x references %#x, not a LITERAL", r.Offset, r.Extra)
+		}
+		reg := insts[r.Extra/4].Ra
+		for i := r.Extra/4 + 1; i < r.Offset/4; i++ {
+			in := insts[i]
+			if in.Op == axp.JSR || in.Op == axp.BSR || in.Writes() == reg {
+				t.Errorf("LITUSE at %#x of the load at %#x crosses %v at %#x", r.Offset, r.Extra, in.Op, i*4)
+			}
+		}
+	}
+}

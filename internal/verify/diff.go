@@ -194,13 +194,13 @@ func Differential(ctx context.Context, opts DiffOptions) (*DiffReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("verify: seed %d: %w", seed, err)
 			}
-			if cr.Doc.Failed > 0 {
+			if v := cr.Check.Verify; v.Failed > 0 {
 				r.Mismatches = append(r.Mismatches, Mismatch{
 					Seed: seed, Cell: c.Name(), Field: "verdict",
-					Detail: cr.Doc.Err().Error(),
+					Detail: v.Err().Error(),
 				})
 			}
-			r.Checked += cr.Doc.Checked
+			r.Checked += cr.Check.Verify.Checked
 			opt, err := execute(cr.Image, opts.MaxInstructions)
 			if err != nil {
 				r.Mismatches = append(r.Mismatches, Mismatch{

@@ -24,22 +24,22 @@ func TestSharedLibCrossClusterGPReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Doc.Err(); err != nil {
+	if err := r.Check.Err(); err != nil {
 		t.Fatalf("shared-lib image fails verification: %v", err)
 	}
-	if r.Doc.ByReason[om.ReasonResetKeptDiffGAT] == 0 {
-		t.Errorf("no gpreset survived the cross-cluster split (ByReason: %v)", r.Doc.ByReason)
+	if r.Check.Verify.ByReason[om.ReasonResetKeptDiffGAT] == 0 {
+		t.Errorf("no gpreset survived the cross-cluster split (ByReason: %v)", r.Check.Verify.ByReason)
 	}
-	if r.Doc.ByReason[om.ReasonResetRemoved] == 0 {
-		t.Errorf("no gpreset was removed inside a cluster (ByReason: %v)", r.Doc.ByReason)
+	if r.Check.Verify.ByReason[om.ReasonResetRemoved] == 0 {
+		t.Errorf("no gpreset was removed inside a cluster (ByReason: %v)", r.Check.Verify.ByReason)
 	}
-	if r.Doc.ByReason[om.ReasonCallKeptCrossReg] == 0 {
-		t.Errorf("no cross-region call was kept indirect (ByReason: %v)", r.Doc.ByReason)
+	if r.Check.Verify.ByReason[om.ReasonCallKeptCrossReg] == 0 {
+		t.Errorf("no cross-region call was kept indirect (ByReason: %v)", r.Check.Verify.ByReason)
 	}
 	if len(r.Image.GATs) < 2 {
 		t.Fatalf("expected split GATs, got %d", len(r.Image.GATs))
 	}
-	if err := r.Doc.CrossCheck(r.Journal); err != nil {
+	if err := r.Check.Verify.CrossCheck(r.Journal); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -74,11 +74,11 @@ long main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Doc.Err(); err != nil {
+		if err := r.Check.Err(); err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}
-		if r.Doc.ByReason[om.ReasonCallKeptIndirect] == 0 {
-			t.Errorf("%s: no indirect call survived (ByReason: %v)", level, r.Doc.ByReason)
+		if r.Check.Verify.ByReason[om.ReasonCallKeptIndirect] == 0 {
+			t.Errorf("%s: no indirect call survived (ByReason: %v)", level, r.Check.Verify.ByReason)
 		}
 	}
 }
@@ -155,10 +155,10 @@ long main() {
 	if r.Journal.Counts[om.ReasonLayoutFallback] == 0 {
 		t.Fatalf("layout produced no fallback events (counts: %v)", r.Journal.Counts)
 	}
-	if r.Doc.ByReason[om.ReasonCallKeptLayout] == 0 {
-		t.Errorf("no call was kept for layout range (ByReason: %v)", r.Doc.ByReason)
+	if r.Check.Verify.ByReason[om.ReasonCallKeptLayout] == 0 {
+		t.Errorf("no call was kept for layout range (ByReason: %v)", r.Check.Verify.ByReason)
 	}
-	if err := r.Doc.Err(); err != nil {
+	if err := r.Check.Err(); err != nil {
 		t.Fatalf("fallback image fails verification: %v", err)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dataflow"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -69,16 +68,12 @@ func QuickCells() []Cell {
 	}
 }
 
-// CellResult is one verified OM run.
+// CellResult is one OM run checked at CheckFull.
 type CellResult struct {
 	Cell    Cell
 	Image   *objfile.Image
 	Journal *obs.JournalDoc
-	Doc     *Doc
-	// Static is the whole-program dataflow analysis of the produced image —
-	// the same invariants the journal validation witnesses dynamically,
-	// proved over the decoded bytes without running anything.
-	Static *dataflow.Report
+	Check   *CheckDoc
 }
 
 // EngineProfile runs the image under the simulator's engine profiler and
@@ -95,11 +90,12 @@ func EngineProfile(im *objfile.Image, maxInst uint64) (*profile.Profile, error) 
 	return profile.FromImage(im, blocks)
 }
 
-// RunCell merges the objects, runs OM at the cell's settings with tracing,
-// and validates the decision journal against the produced image. A profile
-// cell with a nil profile collects one by running the cell's unprofiled
-// image under the engine profiler first. shared names modules to link
-// dynamically.
+// RunCell merges the objects and runs OM at the cell's settings under
+// CheckFull: the dataflow analysis of the lifted program, the optimized
+// program and the image, and translation validation of the decision journal
+// against the image. A profile cell with a nil profile collects one by
+// running the cell's unprofiled image under the engine profiler first.
+// shared names modules to link dynamically.
 func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.Profile, shared ...string) (*CellResult, error) {
 	merge := func() (*link.Program, error) {
 		p, err := link.Merge(objs)
@@ -111,7 +107,7 @@ func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.
 		}
 		return p, nil
 	}
-	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule), om.WithTrace()}
+	opts := []om.Option{om.WithLevel(c.Level), om.WithSchedule(c.Schedule)}
 	if c.Ablation != (om.Ablation{}) {
 		opts = append(opts, om.WithAblation(c.Ablation))
 	}
@@ -136,32 +132,27 @@ func RunCell(ctx context.Context, objs []*objfile.Object, c Cell, prof *profile.
 	if err != nil {
 		return nil, err
 	}
-	res, err := om.Run(ctx, p, opts...)
+	chk := &Checker{Level: CheckFull}
+	res, err := om.Run(ctx, p, append(opts, chk.Options()...)...)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", c.Name(), err)
 	}
-	doc, err := ValidateImage(res.Image, res.Journal)
+	doc, err := chk.Finish(res)
 	if err != nil {
 		return nil, fmt.Errorf("verify: %s: %w", c.Name(), err)
 	}
-	static, err := dataflow.AnalyzeImage(res.Image)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %s: static analysis: %w", c.Name(), err)
-	}
-	return &CellResult{Cell: c, Image: res.Image, Journal: res.Journal, Doc: doc, Static: static}, nil
+	return &CellResult{Cell: c, Image: res.Image, Journal: res.Journal, Check: doc}, nil
 }
 
-// MatrixEntry is one row of a matrix verification report. Checked/Failed
-// count the dynamic journal validation; Static/StaticFailed count the
-// whole-program dataflow analysis of the same image.
+// MatrixEntry is one row of a matrix verification report. Checked counts
+// the cell's check sites and validated journal events, Failed its error
+// findings and failed verdict items.
 type MatrixEntry struct {
-	Label        string `json:"label"`
-	Cell         string `json:"cell"`
-	Checked      uint64 `json:"checked"`
-	Failed       uint64 `json:"failed"`
-	Static       uint64 `json:"static"`
-	StaticFailed uint64 `json:"staticFailed"`
-	Err          string `json:"err,omitempty"`
+	Label   string `json:"label"`
+	Cell    string `json:"cell"`
+	Checked uint64 `json:"checked"`
+	Failed  uint64 `json:"failed"`
+	Err     string `json:"err,omitempty"`
 }
 
 // RunMatrix verifies one program (already compiled to objects) across the
@@ -192,18 +183,9 @@ func RunMatrix(ctx context.Context, label string, objs []*objfile.Object, cells 
 			out = append(out, e)
 			continue
 		}
-		e.Checked, e.Failed = r.Doc.Checked, r.Doc.Failed
-		e.Static = r.Static.Checked
-		e.StaticFailed = uint64(r.Static.Errors())
-		if err := r.Doc.Err(); err != nil {
+		e.Checked, e.Failed = r.Check.Checked(), r.Check.Errors()
+		if err := r.Check.Err(); err != nil {
 			e.Err = err.Error()
-		} else if n := r.Static.Errors(); n > 0 {
-			for _, f := range r.Static.Findings {
-				if f.Severity == dataflow.SevError {
-					e.Err = fmt.Sprintf("static analysis: %d error finding(s): %s", n, f.String())
-					break
-				}
-			}
 		}
 		out = append(out, e)
 	}

@@ -359,7 +359,7 @@ func checkGroup(idx *imageIndex, g group, needBSR map[bsrKey]uint64, needGAT map
 		return v
 	}
 
-	if g.cat != "image" && len(idx.procs[g.proc]) == 0 {
+	if len(idx.procs[g.proc]) == 0 {
 		return fail("proc-exists", "procedure %s not in image symbol table", g.proc)
 	}
 	addrs := idx.targetAddrs(g.target)

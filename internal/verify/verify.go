@@ -1,8 +1,11 @@
 // Package verify is the toolchain's correctness engine: translation
 // validation of OM's decision journal against the final image, differential
-// execution of randomized programs across the option matrix, and structural
-// checks on linked images. Its output is the machine-readable om-verify/v1
-// verdict document, the counterpart to the om-journal/v1 decision journal.
+// execution of randomized programs across the option matrix, and the one
+// check level (off, static, full) every surface takes, with its one failure
+// rule. Structural checks on images belong to the dataflow analysis. Its
+// outputs are the om-verify/v1 verdict document, the counterpart to the
+// om-journal/v1 decision journal, and the om-check/v1 document of a checked
+// link.
 package verify
 
 import (
@@ -17,19 +20,16 @@ import (
 // downstream tooling can reject files it does not understand.
 const Schema = "om-verify/v1"
 
-// Verdict is one verification result. Translation verdicts cover Count
-// journal events sharing (cat, proc, target, reason); structural verdicts
-// use cat "image" and carry no reason.
+// Verdict is one verification result, covering Count journal events that
+// share (cat, proc, target, reason).
 type Verdict struct {
-	// Cat is the site category ("addr", "call", "gpreset", "layout") or
-	// "image" for whole-image structural checks.
+	// Cat is the site category ("addr", "call", "gpreset", "layout").
 	Cat string `json:"cat"`
-	// Proc is the enclosing procedure (or segment for structural checks).
+	// Proc is the enclosing procedure.
 	Proc string `json:"proc,omitempty"`
 	// Target names the symbol the checked sites refer to, when known.
 	Target string `json:"target,omitempty"`
-	// Reason is the journal reason code the verdict covers (empty for
-	// structural checks).
+	// Reason is the journal reason code the verdict covers.
 	Reason string `json:"reason,omitempty"`
 	// Rule names the validator rule that produced the verdict (e.g.
 	// "lda-witness", "bsr-target").
