@@ -3,7 +3,9 @@ package buildcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -19,8 +21,21 @@ import (
 //
 // All methods tolerate a nil receiver (every lookup misses, every insert is
 // dropped), so callers thread an optional cache without branching.
+//
+// Concurrent first links of one module set merge it once: the first miss
+// loads while later callers of the same key wait for its result.
 type ProgramCache struct {
 	store *StageStore
+
+	mu      sync.Mutex
+	flights map[string]*flight
+}
+
+// flight is one in-progress load; done closes when p and err are final.
+type flight struct {
+	done chan struct{}
+	p    *link.Program
+	err  error
 }
 
 // NewProgramCache builds a cache bounded to maxEntries programs (<= 0
@@ -29,7 +44,10 @@ func NewProgramCache(maxEntries int, reg *obs.Registry) *ProgramCache {
 	if maxEntries <= 0 {
 		maxEntries = 64
 	}
-	return &ProgramCache{store: NewStageStore("program", maxEntries, 0, reg)}
+	return &ProgramCache{
+		store:   NewStageStore("program", maxEntries, 0, reg),
+		flights: make(map[string]*flight),
+	}
 }
 
 // ProgramKey derives the cache key for a module set: each module's content
@@ -74,26 +92,63 @@ func (pc *ProgramCache) Put(key string, p *link.Program) {
 	pc.store.Put(key, p, programSize(p))
 }
 
+// GetOrLoad returns the resident Program for key, calling load to build
+// and cache it on a miss. The boolean reports a hit. While one caller
+// loads a key, every other caller of that key waits and shares its
+// result: the Program counts as a hit for them, an error fails them too.
+// Only the loading caller's lookup counts as a miss.
+func (pc *ProgramCache) GetOrLoad(key string, load func() (*link.Program, error)) (*link.Program, bool, error) {
+	if pc == nil {
+		p, err := load()
+		return p, false, err
+	}
+	pc.mu.Lock()
+	if f, ok := pc.flights[key]; ok {
+		pc.mu.Unlock()
+		<-f.done
+		if f.err != nil {
+			return nil, false, f.err
+		}
+		pc.store.hit()
+		return f.p, true, nil
+	}
+	if p, ok := pc.Get(key); ok {
+		pc.mu.Unlock()
+		return p, true, nil
+	}
+	f := &flight{done: make(chan struct{}), err: errLoadAbandoned}
+	pc.flights[key] = f
+	pc.mu.Unlock()
+	defer func() {
+		pc.mu.Lock()
+		delete(pc.flights, key)
+		pc.mu.Unlock()
+		close(f.done)
+	}()
+	f.p, f.err = load()
+	if f.err != nil {
+		return nil, false, f.err
+	}
+	pc.Put(key, f.p)
+	return f.p, false, nil
+}
+
+// errLoadAbandoned is what waiters see when the loading caller panicked.
+var errLoadAbandoned = errors.New("buildcache: program load abandoned")
+
 // GetOrMerge returns the resident Program for the module set, merging and
-// caching it on first sight. The boolean reports a cache hit. The shared
-// names, when given, are applied with MarkShared before the Program is
-// published (they are part of the key, so differently-marked links never
-// alias).
+// caching it on first sight (GetOrLoad under ProgramKey). The boolean
+// reports a cache hit. The shared names, when given, are applied with
+// MarkShared before the Program is published (they are part of the key, so
+// differently-marked links never alias).
 func (pc *ProgramCache) GetOrMerge(objs []*objfile.Object, shared ...string) (*link.Program, bool, error) {
 	if pc == nil {
 		p, err := mergeMarked(objs, shared)
 		return p, false, err
 	}
-	key := ProgramKey(objs, shared...)
-	if p, ok := pc.Get(key); ok {
-		return p, true, nil
-	}
-	p, err := mergeMarked(objs, shared)
-	if err != nil {
-		return nil, false, err
-	}
-	pc.Put(key, p)
-	return p, false, nil
+	return pc.GetOrLoad(ProgramKey(objs, shared...), func() (*link.Program, error) {
+		return mergeMarked(objs, shared)
+	})
 }
 
 // Stats snapshots the underlying stage store.

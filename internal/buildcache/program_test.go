@@ -3,9 +3,14 @@ package buildcache_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/buildcache"
+	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/rtlib"
@@ -112,5 +117,59 @@ func TestProgramCacheResidency(t *testing.T) {
 
 	if st := pc.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("stats = %+v, want 2 hits / 2 misses", st)
+	}
+}
+
+// TestProgramCacheSingleflight: eight concurrent first links of one module
+// set merge it once. The load holds until every caller has arrived, so the
+// other seven wait on it; each gets the one Program, and the store counts
+// one miss and seven hits. A failed load fails its waiters and is retried
+// by the next caller.
+func TestProgramCacheSingleflight(t *testing.T) {
+	objs := testObjects(t)
+	key := buildcache.ProgramKey(objs)
+	pc := buildcache.NewProgramCache(0, nil)
+
+	const callers = 8
+	var arrived, merges atomic.Int32
+	load := func() (*link.Program, error) {
+		merges.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); arrived.Load() < callers && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		return link.Merge(objs)
+	}
+	progs := make([]*link.Program, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			arrived.Add(1)
+			progs[i], _, errs[i] = pc.GetOrLoad(key, load)
+		}(i)
+	}
+	wg.Wait()
+	for i := range progs {
+		if errs[i] != nil || progs[i] == nil || progs[i] != progs[0] {
+			t.Fatalf("caller %d: %v, program %p, want the shared %p", i, errs[i], progs[i], progs[0])
+		}
+	}
+	if n := merges.Load(); n != 1 {
+		t.Errorf("%d merges for one module set, want 1", n)
+	}
+	if st := pc.Stats(); st.Misses != 1 || st.Hits != callers-1 {
+		t.Errorf("stats = %+v, want 1 miss / %d hits", st, callers-1)
+	}
+
+	boom := errors.New("boom")
+	fail := func() (*link.Program, error) { return nil, boom }
+	if _, hit, err := pc.GetOrLoad("other", fail); hit || !errors.Is(err, boom) {
+		t.Fatalf("failed load: hit %v err %v", hit, err)
+	}
+	if p, hit, err := pc.GetOrLoad("other", func() (*link.Program, error) { return link.Merge(objs) }); hit || err != nil || p == nil {
+		t.Fatalf("retry after a failed load: hit %v err %v", hit, err)
 	}
 }

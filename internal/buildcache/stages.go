@@ -99,6 +99,17 @@ func (s *StageStore) Get(key string) (any, bool) {
 	return nil, false
 }
 
+// hit counts a lookup another caller's load answered.
+func (s *StageStore) hit() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.stats.Hits++
+	s.mu.Unlock()
+	s.hits.Add(1)
+}
+
 // Put stores val under key with the given size estimate, evicting the
 // oldest entries until both bounds hold. A duplicate key refreshes the
 // value in place without changing its eviction position. An entry larger

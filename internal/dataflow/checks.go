@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/axp"
 )
@@ -20,14 +21,24 @@ const entryDefined = uint64(1<<axp.V0) |
 
 // runChecks walks every procedure with the converged abstract states and
 // the iterative-dataflow solutions, evaluating the whole catalog.
-func runChecks(p *Program, ip *interp, rep *Report) {
+// mayDefined is the solver for DF006's per-block may-defined registers.
+func runChecks(p *Program, ip *interp, rep *Report, mayDefined func(*Proc, *scratch) []uint64) {
+	var sc scratch
 	for pi, pr := range p.Procs {
 		if len(pr.Code) == 0 {
 			continue
 		}
 		reach := pr.Reachable()
-		liveOut := pr.LiveOutAt()
-		df := pr.ReachingDefs()
+		sc.load(pr)
+		mayIn := mayDefined(pr, &sc)
+		// Only DF002 asks about liveness, and only at address loads.
+		var liveOut []RegSet
+		for i := range pr.Code {
+			if pr.Code[i].LitLoad {
+				liveOut = pr.liveOutAt(&sc)
+				break
+			}
+		}
 
 		add := func(id string, i int, format string, args ...any) {
 			rep.add(Finding{
@@ -48,7 +59,7 @@ func runChecks(p *Program, ip *interp, rep *Report) {
 				continue
 			}
 			st := ip.blockIn[pi][b]
-			defsIn := df.In[b].clone()
+			defined := mayIn[b]
 			for i := blk.Start; i < blk.End; i++ {
 				inst := &pr.Code[i]
 				in := inst.In
@@ -95,15 +106,11 @@ func runChecks(p *Program, ip *interp, rep *Report) {
 				}
 
 				// DF006: a read no definition reaches on any path.
-				for r := axp.Reg(0); r < axp.NumRegs; r++ {
-					if ints&(1<<r) == 0 || entryDefined&(1<<r) != 0 {
-						continue
-					}
-					rep.Checked++
-					if !defsIn.intersects(df.DefsOf[r]) {
-						add("DF006", i, "%s reads %s with no reaching definition",
-							in.Op, r)
-					}
+				reads := ints &^ entryDefined
+				rep.Checked += uint64(bits.OnesCount64(reads))
+				for undef := reads &^ defined; undef != 0; undef &= undef - 1 {
+					add("DF006", i, "%s reads %s with no reaching definition",
+						in.Op, axp.Reg(bits.TrailingZeros64(undef)))
 				}
 
 				// DF002/DF007: GAT address-load sites.
@@ -118,24 +125,9 @@ func runChecks(p *Program, ip *interp, rep *Report) {
 					}
 				}
 
-				// Advance the reaching-definition set and the abstract
-				// state past this instruction (call sites kill everything
-				// and are themselves exempt from per-register kills).
-				if inst.Call {
-					for w := range defsIn {
-						defsIn[w] = 0
-					}
-					defsIn.set(i)
-				} else if d := pr.defs(i).Int; d != 0 {
-					for r := 0; r < axp.NumRegs; r++ {
-						if d&(1<<r) != 0 {
-							for w := range defsIn {
-								defsIn[w] &^= df.DefsOf[r][w] &^ df.calls[w]
-							}
-						}
-					}
-					defsIn.set(i)
-				}
+				// Advance the may-defined set and the abstract state past
+				// this instruction.
+				defined |= sc.def[i].Int
 				ip.step(pi, i, &st)
 			}
 		}

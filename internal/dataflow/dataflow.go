@@ -10,13 +10,13 @@
 // or after the optimization passes), and FromImage decodes a final linked
 // executable. Over that model it builds a control-flow graph per procedure
 // (basic blocks; branch, bsr and jsr edges including GAT-indirect calls;
-// the computed-branch fallback to "all labels"), runs the classic
-// iterative dataflow analyses (reaching definitions, liveness,
-// dominators), and runs an interprocedural abstract interpretation of
-// register contents over a small lattice (⊥, GP-of-cluster-k plus offset,
-// procedure-address plus offset, constant, ⊤). The checks (DF001…) consume
-// those results and report findings with stable IDs and severities in an
-// om-lint/v1 document.
+// the computed-branch fallback to "all labels"), runs the iterative
+// dataflow analyses (may-defined registers, liveness), and runs an
+// interprocedural abstract interpretation of register contents over a
+// small lattice (⊥, GP-of-cluster-k plus offset, procedure-address plus
+// offset, constant, ⊤). The checks (DF001…) consume those results and
+// report findings with stable IDs and severities in an om-lint/v1
+// document.
 package dataflow
 
 import (
@@ -203,7 +203,11 @@ func checkInfo(id string) CheckInfo {
 // Analyze runs the full pipeline over an already-built model: CFG
 // construction, the iterative solvers, the interprocedural abstract
 // interpretation, and every check in the catalog.
-func Analyze(p *Program) *Report {
+func Analyze(p *Program) *Report { return analyze(p, (*Proc).mayDefined) }
+
+// analyze is Analyze with DF006's solver as a parameter, so a test can
+// drive the same checks from a reference solver.
+func analyze(p *Program, mayDefined func(*Proc, *scratch) []uint64) *Report {
 	rep := &Report{Schema: Schema, Source: p.Source, Procs: len(p.Procs)}
 	for _, pr := range p.Procs {
 		pr.BuildCFG()
@@ -212,7 +216,7 @@ func Analyze(p *Program) *Report {
 	}
 	ip := newInterp(p)
 	ip.solve()
-	runChecks(p, ip, rep)
+	runChecks(p, ip, rep, mayDefined)
 	for _, f := range p.Extra {
 		rep.add(f)
 	}

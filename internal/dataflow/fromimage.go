@@ -51,19 +51,22 @@ func FromImage(im *objfile.Image) (*Program, error) {
 		}
 		return -1
 	}
-	// quadAt reads an initialized quadword from the image.
+	// quadAt reads an initialized quadword from the image. The bounds
+	// tests subtract rather than add, so an address near 2^64 (a load off
+	// the zero register with a negative displacement) cannot wrap in.
 	quadAt := func(addr uint64) (uint64, bool) {
 		for i := range im.Segments {
 			sg := &im.Segments[i]
-			if addr >= sg.Addr && addr+8 <= sg.Addr+uint64(len(sg.Data)) {
-				return objfile.Uint64At(sg.Data, addr-sg.Addr), true
+			if off := addr - sg.Addr; addr >= sg.Addr && off < uint64(len(sg.Data)) &&
+				uint64(len(sg.Data))-off >= 8 {
+				return objfile.Uint64At(sg.Data, off), true
 			}
 		}
 		return 0, false
 	}
 	inGAT := func(addr uint64) bool {
 		for _, g := range im.GATs {
-			if addr >= g.Start && addr+8 <= g.End {
+			if addr >= g.Start && addr < g.End && g.End-addr >= 8 {
 				return true
 			}
 		}

@@ -111,3 +111,29 @@ func TestImageStructureRules(t *testing.T) {
 		})
 	}
 }
+
+// TestImageLoadNearAddressTop: a load off the zero register with a negative
+// displacement addresses the top of the 64-bit space. The GAT-slot lookup
+// must not let that address wrap into a segment (it used to, and read
+// the segment at an offset near 2^64).
+func TestImageLoadNearAddressTop(t *testing.T) {
+	p, err := link.Merge(fixtureObjects(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := om.Run(context.Background(), p, om.WithLevel(om.LevelFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := res.Image
+	mainSym, _ := im.FindSymbol("main")
+	text := im.TextSegment()
+	w, err := axp.Encode(axp.MemInst(axp.LDQ, axp.T0, axp.Zero, -7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objfile.PutUint32(text.Data, mainSym.Addr+8-text.Addr, w)
+	if _, err := AnalyzeImage(im); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -145,6 +145,9 @@ type interp struct {
 	// (its contribution is the calling site's own GP).
 	allExit     Value
 	anyPreserve bool
+	// work and queue are analyzeProc's worklist, reused by every call.
+	work  []bool
+	queue []int
 }
 
 func newInterp(p *Program) *interp {
@@ -304,8 +307,8 @@ func (ip *interp) analyzeProc(pi int) bool {
 	// previous round reached — call summaries may have refined since):
 	// CFG-unreachable blocks are never processed, so their all-⊥ states
 	// cannot pollute reachable successors.
-	work := make([]bool, len(pr.Blocks))
-	var queue []int
+	work := resize(ip.work, len(pr.Blocks))
+	queue := ip.queue[:0]
 	push := func(b int) {
 		if !work[b] {
 			work[b] = true
@@ -324,9 +327,8 @@ func (ip *interp) analyzeProc(pi int) bool {
 			push(b)
 		}
 	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
+	for h := 0; h < len(queue); h++ {
+		b := queue[h]
 		work[b] = false
 		ip.reached[pi][b] = true
 		st := in[b]
@@ -341,6 +343,7 @@ func (ip *interp) analyzeProc(pi int) bool {
 			}
 		}
 	}
+	ip.work, ip.queue = work, queue
 	return external
 }
 

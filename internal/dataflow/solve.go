@@ -43,23 +43,57 @@ func (pr *Proc) defs(i int) RegSet {
 	return d
 }
 
-// Liveness computes per-block live-in/live-out register sets by the
-// standard backward iterative dataflow. Index the results by block.
-func (pr *Proc) Liveness() (liveIn, liveOut []RegSet) {
-	nb := len(pr.Blocks)
-	liveIn = make([]RegSet, nb)
-	liveOut = make([]RegSet, nb)
-	use := make([]RegSet, nb)
-	def := make([]RegSet, nb)
+// scratch holds the register masks of the procedure being checked: per
+// instruction and per block, the registers read and written. Every solver
+// below reads them from here, and one scratch serves every procedure of a
+// program in turn, so the checks allocate no per-instruction state.
+type scratch struct {
+	use, def []RegSet // per instruction
+	// blockUse[b] is read in block b before any write there; blockDef[b]
+	// is written anywhere in it.
+	blockUse, blockDef []RegSet
+	liveIn, liveOut    []RegSet // per block
+	liveAt             []RegSet // per instruction
+	mayIn              []uint64 // per block
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// load fills the per-instruction and per-block masks of pr, whose CFG must
+// be built.
+func (sc *scratch) load(pr *Proc) {
+	n, nb := len(pr.Code), len(pr.Blocks)
+	sc.use, sc.def = resize(sc.use, n), resize(sc.def, n)
+	sc.blockUse, sc.blockDef = resize(sc.blockUse, nb), resize(sc.blockDef, nb)
 	for b, blk := range pr.Blocks {
+		bu, bd := &sc.blockUse[b], &sc.blockDef[b]
 		for i := blk.Start; i < blk.End; i++ {
 			u, d := pr.uses(i), pr.defs(i)
-			use[b].Int |= u.Int &^ def[b].Int
-			use[b].FP |= u.FP &^ def[b].FP
-			def[b].Int |= d.Int
-			def[b].FP |= d.FP
+			sc.use[i], sc.def[i] = u, d
+			bu.Int |= u.Int &^ bd.Int
+			bu.FP |= u.FP &^ bd.FP
+			bd.Int |= d.Int
+			bd.FP |= d.FP
 		}
 	}
+}
+
+// liveness computes per-block live-in/live-out register sets by the
+// standard backward iterative dataflow. Index the results by block; they
+// stay valid until the scratch is loaded with another procedure.
+func (pr *Proc) liveness(sc *scratch) (liveIn, liveOut []RegSet) {
+	nb := len(pr.Blocks)
+	liveIn, liveOut = resize(sc.liveIn, nb), resize(sc.liveOut, nb)
+	sc.liveIn, sc.liveOut = liveIn, liveOut
 	for changed := true; changed; {
 		changed = false
 		for b := nb - 1; b >= 0; b-- {
@@ -68,9 +102,10 @@ func (pr *Proc) Liveness() (liveIn, liveOut []RegSet) {
 				out.Int |= liveIn[s].Int
 				out.FP |= liveIn[s].FP
 			}
+			use, def := sc.blockUse[b], sc.blockDef[b]
 			in := RegSet{
-				Int: use[b].Int | (out.Int &^ def[b].Int),
-				FP:  use[b].FP | (out.FP &^ def[b].FP),
+				Int: use.Int | (out.Int &^ def.Int),
+				FP:  use.FP | (out.FP &^ def.FP),
 			}
 			if out != liveOut[b] || in != liveIn[b] {
 				liveOut[b], liveIn[b] = out, in
@@ -81,16 +116,17 @@ func (pr *Proc) Liveness() (liveIn, liveOut []RegSet) {
 	return liveIn, liveOut
 }
 
-// LiveOutAt computes the per-instruction live-out sets from the block
+// liveOutAt computes the per-instruction live-out sets from the block
 // solution by one backward walk per block.
-func (pr *Proc) LiveOutAt() []RegSet {
-	_, liveOut := pr.Liveness()
-	out := make([]RegSet, len(pr.Code))
+func (pr *Proc) liveOutAt(sc *scratch) []RegSet {
+	_, liveOut := pr.liveness(sc)
+	out := resize(sc.liveAt, len(pr.Code))
+	sc.liveAt = out
 	for b, blk := range pr.Blocks {
 		cur := liveOut[b]
 		for i := blk.End - 1; i >= blk.Start; i-- {
 			out[i] = cur
-			u, d := pr.uses(i), pr.defs(i)
+			u, d := sc.use[i], sc.def[i]
 			cur.Int = u.Int | (cur.Int &^ d.Int)
 			cur.FP = u.FP | (cur.FP &^ d.FP)
 		}
@@ -98,281 +134,32 @@ func (pr *Proc) LiveOutAt() []RegSet {
 	return out
 }
 
-// bitset is a dense bit vector over instruction indexes (definition
-// sites).
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (s bitset) set(i int) { s[i/64] |= 1 << (i % 64) }
-
-func (s bitset) orInto(t bitset) bool {
-	changed := false
-	for i := range s {
-		if n := t[i] | s[i]; n != t[i] {
-			t[i] = n
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s bitset) clone() bitset {
-	c := make(bitset, len(s))
-	copy(c, s)
-	return c
-}
-
-func (s bitset) intersects(t bitset) bool {
-	for i := range s {
-		if s[i]&t[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// DefFlow is the reaching-definitions solution: for every block, the set
-// of definition sites (instruction indexes) reaching its entry, plus the
-// per-register site index needed to answer queries.
-type DefFlow struct {
-	pr *Proc
-	// In[b] is the set of definitions reaching block b's entry.
-	In []bitset
-	// DefsOf[r] is the set of sites defining integer register r.
-	DefsOf [axp.NumRegs]bitset
-	// calls marks call sites. A call defines every register at once, so a
-	// later definition of one register must not kill the site — its
-	// definitions of the other registers still reach.
-	calls bitset
-}
-
-// ReachingDefs runs the classic forward may-analysis over definition
-// sites. Call instructions define every register, which keeps the
-// solution conservative across the opaque parts of the call graph.
-func (pr *Proc) ReachingDefs() *DefFlow {
-	n := len(pr.Code)
-	nb := len(pr.Blocks)
-	df := &DefFlow{pr: pr, In: make([]bitset, nb)}
-	for r := range df.DefsOf {
-		df.DefsOf[r] = newBitset(n)
-	}
-	df.calls = newBitset(n)
-	for i := 0; i < n; i++ {
-		if pr.Code[i].Call {
-			df.calls.set(i)
-		}
-		d := pr.defs(i).Int
-		for r := 0; r < axp.NumRegs; r++ {
-			if d&(1<<r) != 0 {
-				df.DefsOf[r].set(i)
-			}
-		}
-	}
-
-	gen := make([]bitset, nb)
-	killRegs := make([]uint64, nb)
-	out := make([]bitset, nb)
-	for b, blk := range pr.Blocks {
-		df.In[b] = newBitset(n)
-		gen[b] = newBitset(n)
-		out[b] = newBitset(n)
-		for i := blk.Start; i < blk.End; i++ {
-			d := pr.defs(i).Int
-			if d == 0 {
-				continue
-			}
-			killRegs[b] |= d
-			// Later definitions in the block kill earlier ones of the
-			// same registers (call sites excepted: they still define
-			// every other register).
-			for w := range gen[b] {
-				for r := 0; r < axp.NumRegs; r++ {
-					if d&(1<<r) != 0 {
-						gen[b][w] &^= df.DefsOf[r][w] &^ df.calls[w]
-					}
-				}
-			}
-			gen[b].set(i)
-		}
-	}
-
-	preds := make([][]int, nb)
-	for b := range pr.Blocks {
-		for _, s := range pr.Blocks[b].Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-
+// mayDefined solves the forward may-analysis DF006 asks about: in[b] holds
+// the integer registers some definition reaches on some path into block b,
+// and a block passes on in[b] | blockDef[b]. Nothing is defined at the
+// entry; a call defines every register.
+//
+// This is exactly the projection of classic reaching definitions onto
+// registers ("some definition site of r reaches"), not an approximation of
+// it. Only a later definition of r kills a definition of r, and that later
+// one reaches in its place; a call kills every earlier site but defines
+// every register itself. So the projection commutes with each block's
+// transfer and with the union at joins, and the two least fixpoints
+// project onto each other.
+func (pr *Proc) mayDefined(sc *scratch) []uint64 {
+	in := resize(sc.mayIn, len(pr.Blocks))
+	sc.mayIn = in
 	for changed := true; changed; {
 		changed = false
 		for b := range pr.Blocks {
-			// in[b] = union of predecessors' out.
-			in := newBitset(n)
-			for _, p := range preds[b] {
-				out[p].orInto(in)
-			}
-			if !equalBits(in, df.In[b]) {
-				df.In[b] = in
-				changed = true
-			}
-			// out[b] = gen ∪ (in − kill): remove every non-call site
-			// defining a register the block redefines, then add the
-			// block's own.
-			newOut := in.clone()
-			for r := 0; r < axp.NumRegs; r++ {
-				if killRegs[b]&(1<<r) != 0 {
-					for w := range newOut {
-						newOut[w] &^= df.DefsOf[r][w] &^ df.calls[w]
-					}
-				}
-			}
-			if killRegs[b] == allRegs&^(1<<axp.Zero) {
-				// The block contains a call, which kills even prior calls.
-				for w := range newOut {
-					newOut[w] = 0
-				}
-			}
-			for w := range newOut {
-				newOut[w] |= gen[b][w]
-			}
-			if !equalBits(newOut, out[b]) {
-				out[b] = newOut
-				changed = true
-			}
-		}
-	}
-	return df
-}
-
-func equalBits(a, b bitset) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ReachAt returns the definition sites reaching instruction i (before it
-// executes), derived from the block solution.
-func (df *DefFlow) ReachAt(i int) bitset {
-	pr := df.pr
-	b := pr.blockOf[i]
-	cur := df.In[b].clone()
-	for j := pr.Blocks[b].Start; j < i; j++ {
-		d := pr.defs(j).Int
-		if d == 0 {
-			continue
-		}
-		for r := 0; r < axp.NumRegs; r++ {
-			if d&(1<<r) != 0 {
-				for w := range cur {
-					cur[w] &^= df.DefsOf[r][w] &^ df.calls[w]
+			out := in[b] | sc.blockDef[b].Int
+			for _, s := range pr.Blocks[b].Succs {
+				if m := in[s] | out; m != in[s] {
+					in[s] = m
+					changed = true
 				}
 			}
 		}
-		if pr.Code[j].Call {
-			for w := range cur {
-				cur[w] = 0
-			}
-		}
-		cur.set(j)
 	}
-	return cur
-}
-
-// Dominators computes the immediate-dominator array by the standard
-// iterative dataflow over the reverse postorder, with block 0 as the root
-// (the entry+8 block, when present, is treated as dominated by the entry:
-// both entries share the procedure's prologue contract). Unreachable
-// blocks carry -1.
-func (pr *Proc) Dominators() []int {
-	nb := len(pr.Blocks)
-	idom := make([]int, nb)
-	for i := range idom {
-		idom[i] = -1
-	}
-	if nb == 0 {
-		return idom
-	}
-
-	// Reverse postorder from block 0.
-	order := make([]int, 0, nb)
-	mark := make([]int8, nb)
-	var dfs func(int)
-	dfs = func(b int) {
-		mark[b] = 1
-		for _, s := range pr.Blocks[b].Succs {
-			if mark[s] == 0 {
-				dfs(s)
-			}
-		}
-		order = append(order, b)
-	}
-	dfs(0)
-	for _, e := range pr.Entries() {
-		if mark[e] == 0 {
-			dfs(e)
-		}
-	}
-	rpo := make([]int, 0, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		rpo = append(rpo, order[i])
-	}
-	rpoNum := make([]int, nb)
-	for i := range rpoNum {
-		rpoNum[i] = -1
-	}
-	for i, b := range rpo {
-		rpoNum[b] = i
-	}
-
-	preds := make([][]int, nb)
-	for b := range pr.Blocks {
-		for _, s := range pr.Blocks[b].Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-
-	intersect := func(a, b int) int {
-		for a != b {
-			for rpoNum[a] > rpoNum[b] {
-				a = idom[a]
-			}
-			for rpoNum[b] > rpoNum[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-
-	idom[rpo[0]] = rpo[0]
-	for changed := true; changed; {
-		changed = false
-		for _, b := range rpo[1:] {
-			newIdom := -1
-			for _, p := range preds[b] {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
-				}
-			}
-			if newIdom == -1 {
-				// A secondary entry (entry+8) with no processed
-				// predecessor: root it at the primary entry.
-				newIdom = rpo[0]
-			}
-			if idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	idom[rpo[0]] = -1
-	return idom
+	return in
 }

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/axp"
@@ -17,7 +18,9 @@ func TestLivenessLoop(t *testing.T) {
 		branch(axp.BNE, 1),
 		ret(),
 	)
-	liveIn, _ := pr.Liveness()
+	var sc scratch
+	sc.load(pr)
+	liveIn, _ := pr.liveness(&sc)
 	entry := liveIn[pr.BlockOf(0)]
 	if entry.Int&(1<<axp.T0) != 0 {
 		t.Fatal("t0 live-in at entry despite the definition before its use")
@@ -25,7 +28,7 @@ func TestLivenessLoop(t *testing.T) {
 	if entry.Int&(1<<axp.T1) == 0 {
 		t.Fatal("t1 read in the loop is not live-in at entry")
 	}
-	out := pr.LiveOutAt()
+	out := pr.liveOutAt(&sc)
 	if out[0].Int&(1<<axp.T0) == 0 {
 		t.Fatal("t0 dead after its definition despite the loop's use")
 	}
@@ -40,20 +43,46 @@ func TestLivenessCallReadsAll(t *testing.T) {
 			Targets: []CallTarget{{Proc: 0}}, BranchTo: -1},
 		ret(),
 	)
-	out := pr.LiveOutAt()
+	var sc scratch
+	sc.load(pr)
+	out := pr.liveOutAt(&sc)
 	if out[0].Int&(1<<axp.T5) == 0 {
 		t.Fatal("t5 dead before a call under the call-reads-all model")
 	}
 }
 
-func TestReachingDefsCallSiteAliasing(t *testing.T) {
-	// A call site defines every register at once. A later definition of one
-	// register must not kill the site: its definitions of the other
-	// registers still reach.
+// mayDefAt returns the integer registers some definition reaches just
+// before instruction i executes.
+func mayDefAt(pr *Proc, i int) uint64 {
+	var sc scratch
+	sc.load(pr)
+	b := pr.BlockOf(i)
+	m := pr.mayDefined(&sc)[b]
+	for j := pr.Blocks[b].Start; j < i; j++ {
+		m |= sc.def[j].Int
+	}
+	return m
+}
+
+// useBeforeDef analyzes pr as a one-procedure program and returns its
+// DF006 findings.
+func useBeforeDef(pr *Proc) []string {
+	var out []string
+	for _, f := range Analyze(&Program{Procs: []*Proc{pr}, Clusters: 1}).Findings {
+		if f.ID == "DF006" {
+			out = append(out, f.String())
+		}
+	}
+	return out
+}
+
+func TestMayDefinedCallSiteAliasing(t *testing.T) {
+	// A call defines every register at once; a later definition of one
+	// register leaves the call's definitions of the others in place.
 	//
-	// i0: bsr f            defines everything, including t5
+	// i0: bsr f              defines everything, including t5
 	// i1: lda t8, 500(zero)  redefines t8 only
-	// i2: stq t5, 0(sp)      reads t5 — the call's definition must reach
+	// i2: stq t5, 0(sp)      reads t5: the call's definition reaches
 	pr := synth(t,
 		Inst{In: axp.BranchInst(axp.BSR, axp.RA, 0), Call: true,
 			Targets: []CallTarget{{Proc: 0}}, BranchTo: -1},
@@ -61,20 +90,21 @@ func TestReachingDefsCallSiteAliasing(t *testing.T) {
 		Inst{In: axp.MemInst(axp.STQ, axp.T5, axp.SP, 0)},
 		ret(),
 	)
-	df := pr.ReachingDefs()
-	at2 := df.ReachAt(2)
-	if !at2.intersects(df.DefsOf[axp.T5]) {
-		t.Fatal("call-site definition of t5 killed by an unrelated lda")
+	at2 := mayDefAt(pr, 2)
+	if at2&(1<<axp.T5) == 0 {
+		t.Fatal("call-site definition of t5 lost to an unrelated lda")
 	}
-	// The lda did kill nothing else's t8 claim but its own site reaches.
-	if !at2.intersects(df.DefsOf[axp.T8]) {
-		t.Fatal("lda t8 definition does not reach the following use point")
+	if at2&(1<<axp.T8) == 0 {
+		t.Fatal("lda t8 definition does not reach the following instruction")
+	}
+	if f := useBeforeDef(pr); len(f) != 0 {
+		t.Fatalf("DF006 on a read the call defines: %v", f)
 	}
 }
 
-func TestReachingDefsCallKillsPriorDefs(t *testing.T) {
-	// A call clobbers every register, including a prior call's definitions:
-	// nothing from before it reaches past it.
+func TestMayDefinedBackToBackCalls(t *testing.T) {
+	// Two calls in a row: before the first only t0 is defined, after the
+	// second every register is, whatever the first call left behind.
 	pr := synth(t,
 		Inst{In: axp.MemInst(axp.LDA, axp.T0, axp.Zero, 1)},
 		Inst{In: axp.BranchInst(axp.BSR, axp.RA, 0), Call: true,
@@ -84,16 +114,18 @@ func TestReachingDefsCallKillsPriorDefs(t *testing.T) {
 		Inst{In: axp.OpInst(axp.ADDQ, axp.T0, axp.T0, axp.T0)},
 		ret(),
 	)
-	df := pr.ReachingDefs()
-	at3 := df.ReachAt(3)
-	var want bitset = newBitset(len(pr.Code))
-	want.set(2)
-	if !equalBits(at3, want) {
-		t.Fatalf("after back-to-back calls, reaching set is %v, want only the second call", at3)
+	if got := mayDefAt(pr, 1); got != 1<<axp.T0 {
+		t.Fatalf("before the first call, defined %#x, want only t0", got)
+	}
+	if got, want := mayDefAt(pr, 3), allRegs&^(1<<axp.Zero); got != want {
+		t.Fatalf("after back-to-back calls, defined %#x, want every register %#x", got, want)
+	}
+	if f := useBeforeDef(pr); len(f) != 0 {
+		t.Fatalf("DF006 after two calls: %v", f)
 	}
 }
 
-func TestReachingDefsMerge(t *testing.T) {
+func TestMayDefinedMerge(t *testing.T) {
 	// Two definitions of t0 on diverging paths both reach the join.
 	// i0: beq -> i3
 	// i1: lda t0, 1(zero)
@@ -108,46 +140,40 @@ func TestReachingDefsMerge(t *testing.T) {
 		Inst{In: axp.OpInst(axp.ADDQ, axp.T0, axp.T0, axp.T0), HasLabel: true},
 		ret(),
 	)
-	df := pr.ReachingDefs()
-	at4 := df.ReachAt(4)
-	var want bitset = newBitset(len(pr.Code))
-	want.set(1)
-	want.set(3)
-	if !equalBits(at4, want) {
-		t.Fatalf("join reaching set %v, want sites {1,3}", at4)
+	if got := mayDefAt(pr, 1); got != 0 {
+		t.Fatalf("arm entry defined %#x, want nothing", got)
+	}
+	if got := mayDefAt(pr, 4); got != 1<<axp.T0 {
+		t.Fatalf("join defined %#x, want only t0", got)
+	}
+	if f := useBeforeDef(pr); len(f) != 0 {
+		t.Fatalf("DF006 at a join both arms define: %v", f)
 	}
 }
 
-func TestDominators(t *testing.T) {
-	// Diamond: B0 -> {B1, B2} -> B3; idom(B3) = B0.
-	pr := synth(t,
-		branch(axp.BEQ, 2),                  // B0
-		branch(axp.BR, 3),                   // B1
-		Inst{In: axp.Nop(), HasLabel: true}, // B2 head
-		Inst{In: axp.Nop(), HasLabel: true}, // B3 head (join)
-		ret(),
-	)
-	idom := pr.Dominators()
-	b0, b3 := pr.BlockOf(0), pr.BlockOf(3)
-	if idom[b0] != -1 {
-		t.Fatalf("entry block has idom %d, want -1", idom[b0])
+func TestUseBeforeDefOnePath(t *testing.T) {
+	// A read reached by no definition fires DF006; one definition on one
+	// arm of the diamond is enough to silence it (DF006 is a may check).
+	// i0: beq -> i3
+	// i1: nop, or lda t0, 1(zero)
+	// i2: br -> i4
+	// i3: nop
+	// i4: addq t0,t0,t1 (join)
+	diamond := func(arm Inst) *Proc {
+		return synth(t,
+			branch(axp.BEQ, 3),
+			arm,
+			branch(axp.BR, 4),
+			Inst{In: axp.Nop(), HasLabel: true},
+			Inst{In: axp.OpInst(axp.ADDQ, axp.T0, axp.T0, axp.T1), HasLabel: true},
+			ret(),
+		)
 	}
-	if idom[b3] != b0 {
-		t.Fatalf("join block idom %d, want entry %d", idom[b3], b0)
+	f := useBeforeDef(diamond(Inst{In: axp.Nop()}))
+	if len(f) != 1 || !strings.Contains(f[0], "reads t0") {
+		t.Fatalf("undefined t0 read: DF006 findings %v, want one on t0", f)
 	}
-	if idom[pr.BlockOf(1)] != b0 || idom[pr.BlockOf(2)] != b0 {
-		t.Fatal("diamond arms not immediately dominated by the entry")
-	}
-}
-
-func TestDominatorsUnreachable(t *testing.T) {
-	pr := synth(t,
-		ret(),
-		Inst{In: axp.Nop()}, // dead code past the return
-		ret(),
-	)
-	idom := pr.Dominators()
-	if b := pr.BlockOf(1); idom[b] != -1 {
-		t.Fatalf("unreachable block has idom %d, want -1", idom[b])
+	if f := useBeforeDef(diamond(Inst{In: axp.MemInst(axp.LDA, axp.T0, axp.Zero, 1)})); len(f) != 0 {
+		t.Fatalf("t0 defined on one arm: DF006 findings %v, want none", f)
 	}
 }

@@ -533,6 +533,38 @@ func (s *Server) memoize(key string, res *result) {
 	}
 }
 
+// loadProgram compiles or decodes a job's modules, adds the runtime
+// library unless the job opts out, and merges them.
+func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) {
+	var objs []*objfile.Object
+	var err error
+	if rs.spec.Benchmark != "" {
+		cs := sp.Child("compile")
+		cs.SetAttr("benchmark", rs.spec.Benchmark)
+		compileDone := obs.StartSpan(s.reg.Timer("omd/compile"))
+		objs, err = s.compileBenchmark(rs)
+		compileDone()
+		cs.End()
+	} else {
+		ds := sp.Child("decode-objects")
+		objs, err = rs.decodeObjects()
+		ds.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !rs.spec.NoStdlib {
+		lib, err := s.libObjects()
+		if err != nil {
+			return nil, err
+		}
+		objs = append(append([]*objfile.Object(nil), objs...), lib...)
+	}
+	ms := sp.Child("merge")
+	defer ms.End()
+	return link.Merge(objs)
+}
+
 // execute runs one link job end to end, warmest path first: a cached image
 // needs nothing resolved at all; a resident decoded program skips compile,
 // upload decode, and merge; and om.Run itself runs against the server's
@@ -579,42 +611,22 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 		}
 	}
 
+	// Concurrent first links of one program wait for a single merge; the
+	// lookup span ends where the loading job's compile or decode begins.
 	pcs := sp.Child("program-cache")
-	p, hit := s.progCache.Get(rs.progKey)
-	pcs.SetAttr("hit", strconv.FormatBool(hit))
-	pcs.End()
-	if !hit {
-		var objs []*objfile.Object
-		var err error
-		if rs.spec.Benchmark != "" {
-			cs := sp.Child("compile")
-			cs.SetAttr("benchmark", rs.spec.Benchmark)
-			compileDone := obs.StartSpan(s.reg.Timer("omd/compile"))
-			objs, err = s.compileBenchmark(rs)
-			compileDone()
-			cs.End()
-		} else {
-			ds := sp.Child("decode-objects")
-			objs, err = rs.decodeObjects()
-			ds.End()
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !rs.spec.NoStdlib {
-			lib, err := s.libObjects()
-			if err != nil {
-				return nil, err
-			}
-			objs = append(append([]*objfile.Object(nil), objs...), lib...)
-		}
-		ms := sp.Child("merge")
-		p, err = link.Merge(objs)
-		ms.End()
-		if err != nil {
-			return nil, err
-		}
-		s.progCache.Put(rs.progKey, p)
+	loaded := false
+	p, hit, err := s.progCache.GetOrLoad(rs.progKey, func() (*link.Program, error) {
+		loaded = true
+		pcs.SetAttr("hit", "false")
+		pcs.End()
+		return s.loadProgram(rs, sp)
+	})
+	if !loaded {
+		pcs.SetAttr("hit", strconv.FormatBool(hit))
+		pcs.End()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	omSpan := sp.Child("om")
