@@ -72,14 +72,17 @@ bench:
 			-baseline results/BENCH_sim_baseline_pr1.json -o BENCH_sim.json
 	@cat BENCH_sim.json
 
-# bench-smoke executes every simulator benchmark and the static-check
-# benchmark exactly once so the bench suites themselves cannot bit-rot; CI
-# runs this on every push.
+# bench-smoke executes every simulator benchmark, the static-check
+# benchmark and the cold-link front-end benchmarks (object decode, lift)
+# exactly once so the bench suites themselves cannot bit-rot; CI runs this
+# on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim|BenchmarkFig6Dynamic' \
 		-benchtime 1x -count 1 . ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeImage' -benchmem \
 		-benchtime 1x -count 1 ./internal/dataflow
+	$(GO) test -run '^$$' -bench 'BenchmarkObjfileRead|BenchmarkLift$$' -benchmem \
+		-benchtime 1x -count 1 . ./internal/objfile
 
 # bench-link runs the incremental warm-path link benchmarks (cold
 # decode+merge+link vs relinks through the resident caches) and records

@@ -100,6 +100,7 @@ func TestReadErrorsAreTyped(t *testing.T) {
 		{"literal slot out of range", func(o *Object) { o.Relocs[2].Extra = 99 }, ErrBadReloc},
 		{"gpdisp partner outside text", func(o *Object) { o.Relocs[4].Extra = 1 << 20 }, ErrBadReloc},
 		{"non-power-of-two align", func(o *Object) { o.Symbols[3].Align = 24 }, ErrBadSymbol},
+		{"misaligned proc end", func(o *Object) { o.Symbols[0].End = 62 }, ErrBadSymbol},
 		{"huge common", func(o *Object) { o.Symbols[3].Size = 1 << 40 }, ErrTooLarge},
 		{"huge bss", func(o *Object) { o.Sections[SecBss].Size = 1 << 40 }, ErrTooLarge},
 		{"data symbol overflow", func(o *Object) {

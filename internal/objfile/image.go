@@ -186,8 +186,7 @@ func (im *Image) Write(w io.Writer) error {
 // ReadImage deserializes an image written by Write.
 func ReadImage(r io.Reader) (*Image, error) {
 	rd := &reader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	rd.raw(magic[:])
+	magic := rd.magic()
 	if rd.err == nil && string(magic[:]) != imgMagic {
 		return nil, fmt.Errorf("objfile: %w: bad image magic %q", ErrBadMagic, magic[:])
 	}
@@ -196,6 +195,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 	}
 	im := &Image{Entry: rd.u64()}
 	nseg := rd.u64()
+	im.Segments = prealloc[Segment](nseg)
 	for i := uint64(0); i < nseg && rd.err == nil; i++ {
 		var s Segment
 		s.Name = rd.str()
@@ -205,6 +205,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 		im.Segments = append(im.Segments, s)
 	}
 	nsym := rd.u64()
+	im.Symbols = prealloc[ImageSymbol](nsym)
 	for i := uint64(0); i < nsym && rd.err == nil; i++ {
 		var s ImageSymbol
 		s.Name = rd.str()
@@ -215,6 +216,7 @@ func ReadImage(r io.Reader) (*Image, error) {
 		im.Symbols = append(im.Symbols, s)
 	}
 	ngat := rd.u64()
+	im.GATs = prealloc[GATRange](ngat)
 	for i := uint64(0); i < ngat && rd.err == nil; i++ {
 		var g GATRange
 		g.Start = rd.u64()

@@ -58,6 +58,10 @@ func (cw *countWriter) str(s string) {
 	}
 }
 
+// reader decodes the binary format. Fixed-width fields are read in place
+// from the bufio.Reader's buffer (Peek + Discard), so decoding a field never
+// allocates; the first short read latches a typed ErrTruncated error and every
+// later read returns zero.
 type reader struct {
 	r   *bufio.Reader
 	err error
@@ -80,19 +84,46 @@ func truncated(err error) error {
 	return err
 }
 
+// next returns the next n bytes (n at most the reader's buffer size) and
+// consumes them. The slice aliases the reader's buffer and is valid only
+// until the next read. On a short read it returns nil and latches the error.
+func (rd *reader) next(n int) []byte {
+	if rd.err != nil {
+		return nil
+	}
+	b, err := rd.r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		rd.err = truncated(err)
+		return nil
+	}
+	_, _ = rd.r.Discard(n) // cannot fail: Peek has just buffered n bytes
+	return b
+}
+
 func (rd *reader) u32() uint32 {
-	var b [4]byte
-	rd.raw(b[:])
-	return binary.LittleEndian.Uint32(b[:])
+	if b := rd.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
 }
 
 func (rd *reader) u64() uint64 {
-	var b [8]byte
-	rd.raw(b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	if b := rd.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 func (rd *reader) i64() int64 { return int64(rd.u64()) }
+
+// magic reads the 4-byte format tag.
+func (rd *reader) magic() (m [4]byte) {
+	copy(m[:], rd.next(len(m)))
+	return m
+}
 
 func (rd *reader) raw(b []byte) {
 	if rd.err == nil {
@@ -101,15 +132,20 @@ func (rd *reader) raw(b []byte) {
 	}
 }
 
-func (rd *reader) bytes(limit uint64) []byte {
+// length reads a declared byte length and bounds it by limit.
+func (rd *reader) length(limit uint64) int {
 	n := rd.u64()
-	if rd.err != nil {
-		return nil
-	}
-	if n > limit {
+	if rd.err == nil && n > limit {
 		rd.err = fmt.Errorf("%w: declared length %d exceeds limit %d", ErrTooLarge, n, limit)
-		return nil
 	}
+	if rd.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+func (rd *reader) bytes(limit uint64) []byte {
+	n := rd.length(limit)
 	if n == 0 {
 		return nil
 	}
@@ -118,7 +154,47 @@ func (rd *reader) bytes(limit uint64) []byte {
 	return b
 }
 
-func (rd *reader) str() string { return string(rd.bytes(1 << 20)) }
+// str reads a length-prefixed string, converting it straight out of the
+// reader's buffer when it fits there.
+func (rd *reader) str() string {
+	n := rd.length(1 << 20)
+	if n == 0 {
+		return ""
+	}
+	if n <= rd.r.Size() {
+		return string(rd.next(n))
+	}
+	b := make([]byte, n)
+	rd.raw(b)
+	return string(b)
+}
+
+// count reads a declared element count, rejecting one no well-formed input
+// carries.
+func (rd *reader) count(what string) uint64 {
+	n := rd.u64()
+	if rd.err == nil && n > math.MaxInt32 {
+		rd.err = fmt.Errorf("%w: %s count %d", ErrTooLarge, what, n)
+	}
+	if rd.err != nil {
+		return 0
+	}
+	return n
+}
+
+// maxPrealloc caps how many elements a declared count may reserve up front:
+// a corrupt header can then cost at most this much before the short read
+// that exposes it, and a real table longer than this just grows by append.
+const maxPrealloc = 1 << 12
+
+// prealloc returns an empty slice sized for n declared elements (nil for
+// none, as an append-built table would be).
+func prealloc[T any](n uint64) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, min(n, maxPrealloc))
+}
 
 // maxBlob bounds any single serialized byte array, as a corruption guard.
 const maxBlob = 1 << 30
@@ -170,8 +246,7 @@ func (o *Object) Write(w io.Writer) error {
 // Read deserializes an object module written by Write.
 func Read(r io.Reader) (*Object, error) {
 	rd := &reader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	rd.raw(magic[:])
+	magic := rd.magic()
 	if rd.err == nil && string(magic[:]) != objMagic {
 		return nil, fmt.Errorf("objfile: %w: bad magic %q", ErrBadMagic, magic[:])
 	}
@@ -183,10 +258,8 @@ func Read(r io.Reader) (*Object, error) {
 		o.Sections[k].Size = rd.u64()
 		o.Sections[k].Data = rd.bytes(maxBlob)
 	}
-	nsym := rd.u64()
-	if rd.err == nil && nsym > math.MaxInt32 {
-		return nil, fmt.Errorf("objfile: %w: symbol count %d", ErrTooLarge, nsym)
-	}
+	nsym := rd.count("symbol")
+	o.Symbols = prealloc[Symbol](nsym)
 	for i := uint64(0); i < nsym && rd.err == nil; i++ {
 		var sym Symbol
 		sym.Name = rd.str()
@@ -201,10 +274,8 @@ func Read(r io.Reader) (*Object, error) {
 		sym.UsesGP = flags&2 != 0
 		o.Symbols = append(o.Symbols, sym)
 	}
-	nrel := rd.u64()
-	if rd.err == nil && nrel > math.MaxInt32 {
-		return nil, fmt.Errorf("objfile: %w: reloc count %d", ErrTooLarge, nrel)
-	}
+	nrel := rd.count("reloc")
+	o.Relocs = prealloc[Reloc](nrel)
 	for i := uint64(0); i < nrel && rd.err == nil; i++ {
 		var rel Reloc
 		rel.Kind = RelocKind(rd.u8())

@@ -240,6 +240,10 @@ func (o *Object) Validate() error {
 				return fmt.Errorf("%s: %w: proc %s range [%d,%d) outside .text (%d bytes)",
 					o.Name, ErrBadSymbol, sym.Name, sym.Value, sym.End, o.Sections[SecText].Size)
 			}
+			if sym.Value%4 != 0 || sym.End%4 != 0 {
+				return fmt.Errorf("%s: %w: proc %s range [%d,%d) not instruction-aligned",
+					o.Name, ErrBadSymbol, sym.Name, sym.Value, sym.End)
+			}
 		case SymData:
 			if sym.Section >= NumSections {
 				return fmt.Errorf("%s: %w: data symbol %s in bad section", o.Name, ErrBadSymbol, sym.Name)

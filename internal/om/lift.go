@@ -13,8 +13,10 @@
 package om
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -317,34 +319,7 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, error) {
 	lm := &liftedModule{}
 	text := obj.Sections[objfile.SecText].Data
-	insts, err := axp.DecodeAll(text)
-	if err != nil {
-		return nil, fmt.Errorf("om: lift %s: %w", obj.Name, err)
-	}
-	// Index relocations by offset.
-	litAt := make(map[uint64]*objfile.Reloc)
-	useAt := make(map[uint64]*objfile.Reloc)
-	gpdAt := make(map[uint64]*objfile.Reloc)
-	brAt := make(map[uint64]*objfile.Reloc)
-	gprAt := make(map[uint64]*objfile.Reloc)
-	for i := range obj.Relocs {
-		r := &obj.Relocs[i]
-		if r.Section != objfile.SecText {
-			continue
-		}
-		switch r.Kind {
-		case objfile.RLiteral:
-			litAt[r.Offset] = r
-		case objfile.RLituseBase, objfile.RLituseJSR:
-			useAt[r.Offset] = r
-		case objfile.RGPDisp:
-			gpdAt[r.Offset] = r
-		case objfile.RBrAddr:
-			brAt[r.Offset] = r
-		case objfile.RGPRel16:
-			gprAt[r.Offset] = r
-		}
-	}
+	rels := textRelocs(obj)
 
 	// Procedures of this module in address order.
 	var procSyms []int32
@@ -373,25 +348,35 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 		pr := &Proc{Mod: m, Sym: s, Name: sym.Name, Exported: sym.Exported}
 		base := sym.Value
 		n := int((sym.End - sym.Value) / 4)
-		// One contiguous slab per procedure: emission walks the
-		// instructions of resident memoized forms on every warm relink,
-		// and the collector rescans them on every cycle, so locality and
-		// object count matter more than in a one-shot link.
+		// One contiguous slab per procedure, decoded in place: emission
+		// walks the instructions of resident memoized forms on every warm
+		// relink, and the collector rescans them on every cycle, so
+		// locality and object count matter more than in a one-shot link.
 		pr.Insts = make([]*SInst, n)
 		backing := make([]SInst, n)
-		for i := 0; i < n; i++ {
-			backing[i] = SInst{In: insts[int(base/4)+i], Target: -1}
+		for i := range backing {
+			off := base + uint64(i*4)
+			in, err := axp.Decode(objfile.Uint32At(text, off))
+			if err != nil {
+				return nil, fmt.Errorf("om: lift %s: at offset %#x: %w", obj.Name, off, err)
+			}
+			backing[i].In = in
+			backing[i].Target = -1
 			pr.Insts[i] = &backing[i]
 		}
+		// The procedure's relocations: procedures tile the text in address
+		// order, so each one's relocations continue where the previous
+		// procedure's ended.
+		procRels := rels.upTo(obj, sym.End)
 
-		// Pass 1: labels for intra-procedure branch targets.
-		labelAt := make(map[int]int)
+		// Pass 1: labels for intra-procedure branch targets. Lift gives an
+		// instruction at most one label, so a target's existing label is
+		// the one to share.
+		cur := procRels
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
-			if !si.In.Op.IsBranch() {
-				continue
-			}
-			if _, isCall := brAt[off]; isCall {
+			at := cur.at(obj, off)
+			if !si.In.Op.IsBranch() || at.br != nil {
 				continue
 			}
 			targetOff := int64(off) + 4 + int64(si.In.Disp)*4
@@ -400,13 +385,11 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 				return nil, fmt.Errorf("om: lift %s: %s branch at +%#x leaves the procedure",
 					obj.Name, sym.Name, off-base)
 			}
-			l, ok := labelAt[int(ti)]
-			if !ok {
-				l = pr.NewLabel()
-				labelAt[int(ti)] = l
-				pr.Insts[ti].Labels = append(pr.Insts[ti].Labels, l)
+			t := pr.Insts[ti]
+			if len(t.Labels) == 0 {
+				t.Labels = []int{pr.NewLabel()}
 			}
-			si.Target = l
+			si.Target = t.Labels[0]
 		}
 
 		// Pass 2: relocation annotations.
@@ -417,12 +400,14 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			}
 			return pr.Insts[i], true
 		}
+		cur = procRels
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
-			if r, ok := litAt[off]; ok {
+			at := cur.at(obj, off)
+			if r := at.lit; r != nil {
 				si.Lit = &LitInfo{Key: link.Key(p.Resolve(m, r.Symbol), r.Addend)}
 			}
-			if r, ok := gprAt[off]; ok {
+			if r := at.gpr; r != nil {
 				// Optimistically compiled GP-relative reference: already
 				// in OM's target form; re-anchor it to the final layout.
 				si.GPRel = &GPRelInfo{
@@ -431,7 +416,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 					Extra: r.Addend,
 				}
 			}
-			if r, ok := useAt[off]; ok {
+			if r := at.use; r != nil {
 				lit, ok := sidxAt(r.Extra)
 				if !ok || lit.Lit == nil {
 					return nil, fmt.Errorf("om: lift %s: %s: LITUSE at +%#x has no literal at +%#x",
@@ -446,7 +431,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			if si.In.Op == axp.JSR && si.Use == nil {
 				si.Indirect = true
 			}
-			if r, ok := gpdAt[off]; ok {
+			if r := at.gpd; r != nil {
 				lo, ok := sidxAt(r.Extra)
 				if !ok {
 					return nil, fmt.Errorf("om: lift %s: %s: GPDISP pair escapes procedure", obj.Name, sym.Name)
@@ -467,7 +452,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 				hi.GPD = g
 				lo.GPD = &GPDInfo{Partner: hi}
 			}
-			if r, ok := brAt[off]; ok {
+			if r := at.br; r != nil {
 				lm.pending = append(lm.pending, pendingCall{
 					inst: si, target: p.Resolve(m, r.Symbol), addend: r.Addend,
 				})
@@ -480,4 +465,80 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			obj.Name, obj.Sections[objfile.SecText].Size-covered)
 	}
 	return lm, nil
+}
+
+// offsetRelocs indexes the text relocations lift reads (into obj.Relocs),
+// stably sorted by offset: relocations at one offset keep their table order.
+type offsetRelocs []int32
+
+// textRelocs collects the text relocations of the kinds lift annotates.
+func textRelocs(obj *objfile.Object) offsetRelocs {
+	rels := make(offsetRelocs, 0, len(obj.Relocs))
+	for i := range obj.Relocs {
+		r := &obj.Relocs[i]
+		if r.Section != objfile.SecText {
+			continue
+		}
+		switch r.Kind {
+		case objfile.RLiteral, objfile.RLituseBase, objfile.RLituseJSR,
+			objfile.RGPDisp, objfile.RBrAddr, objfile.RGPRel16:
+			rels = append(rels, int32(i))
+		}
+	}
+	byOffset := func(a, b int32) int {
+		return cmp.Compare(obj.Relocs[a].Offset, obj.Relocs[b].Offset)
+	}
+	if !slices.IsSortedFunc(rels, byOffset) {
+		slices.SortStableFunc(rels, byOffset)
+	}
+	return rels
+}
+
+// upTo splits off the leading relocations with offsets below end, leaving
+// the rest in *rels.
+func (rels *offsetRelocs) upTo(obj *objfile.Object, end uint64) offsetRelocs {
+	all := *rels
+	k := 0
+	for k < len(all) && obj.Relocs[all[k]].Offset < end {
+		k++
+	}
+	*rels = all[k:]
+	return all[:k]
+}
+
+// instRelocs holds the relocations lift reads at one instruction, one per
+// role. LITUSE_BASE and LITUSE_JSR share the use role.
+type instRelocs struct {
+	lit, use, gpd, br, gpr *objfile.Reloc
+}
+
+// at consumes the leading relocations up to offset off, walking them as a
+// cursor in instruction order, and returns those at off by role. When one
+// offset carries two relocations of a role, the later in table order wins.
+// Relocations below off (at no instruction boundary) are skipped.
+func (rels *offsetRelocs) at(obj *objfile.Object, off uint64) instRelocs {
+	var at instRelocs
+	for len(*rels) > 0 {
+		r := &obj.Relocs[(*rels)[0]]
+		if r.Offset > off {
+			break
+		}
+		*rels = (*rels)[1:]
+		if r.Offset < off {
+			continue
+		}
+		switch r.Kind {
+		case objfile.RLiteral:
+			at.lit = r
+		case objfile.RLituseBase, objfile.RLituseJSR:
+			at.use = r
+		case objfile.RGPDisp:
+			at.gpd = r
+		case objfile.RBrAddr:
+			at.br = r
+		case objfile.RGPRel16:
+			at.gpr = r
+		}
+	}
+	return at
 }

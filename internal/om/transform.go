@@ -223,23 +223,36 @@ func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 }
 
 // pairPosition locates the prologue GP pair of a procedure among its live
-// instructions, returning the hi instruction, its index, and the lo index.
+// instructions, returning the hi instruction, its index, and the lo index
+// (-1 if lo was deleted). Indices count live instructions only.
 func pairPosition(pr *Proc) (hi *SInst, hiIdx, loIdx int) {
-	live := pr.Live()
-	hiIdx, loIdx = -1, -1
-	for i, si := range live {
-		if si.GPD != nil && si.GPD.High && si.GPD.Entry && !si.In.IsNop() {
-			hi = si
-			hiIdx = i
-			for j, sj := range live {
-				if sj == si.GPD.Partner {
-					loIdx = j
-				}
-			}
-			return hi, hiIdx, loIdx
+	idx := 0
+	for _, si := range pr.Insts {
+		if si.Deleted {
+			continue
 		}
+		if si.GPD != nil && si.GPD.High && si.GPD.Entry && !si.In.IsNop() {
+			return si, idx, liveIndex(pr, si.GPD.Partner)
+		}
+		idx++
 	}
 	return nil, -1, -1
+}
+
+// liveIndex returns target's index among the procedure's live instructions,
+// or -1 if it is deleted or absent.
+func liveIndex(pr *Proc, target *SInst) int {
+	idx := 0
+	for _, si := range pr.Insts {
+		if si.Deleted {
+			continue
+		}
+		if si == target {
+			return idx
+		}
+		idx++
+	}
+	return -1
 }
 
 // markPairPositions records, for every procedure, whether its prologue GP
@@ -257,59 +270,74 @@ func markPairPositions(pg *Prog) {
 // back to their logical place at procedure entry, enabling the bsr-skip
 // optimization that OM-simple must forgo. Each restoration rearranges only
 // its own procedure's instruction list, so procedures proceed concurrently.
+// Like markPairPositions, it leaves PairAtEntry set for every procedure.
 func restoreProloguePairs(pg *Prog) {
 	pg.forEachProc(func(pr *Proc) bool {
 		hi, hiIdx, loIdx := pairPosition(pr)
-		if hi == nil || (hiIdx == 0 && loIdx == 1) {
+		pr.PairAtEntry = hi != nil && hiIdx == 0 && loIdx == 1
+		if hi == nil || pr.PairAtEntry {
 			return false
 		}
 		lo := hi.GPD.Partner
 		// The pair must still be in the entry block (no intervening labels
 		// or control transfers), and nothing before it may touch GP or PV.
-		live := pr.Live()
-		limit := loIdx
-		if hiIdx > limit {
-			limit = hiIdx
-		}
-		safe := true
-		for i := 0; i <= limit && safe; i++ {
-			si := live[i]
-			if si == hi || si == lo {
+		limit := max(hiIdx, loIdx)
+		var first *SInst // the first live instruction
+		i := 0
+		for _, si := range pr.Insts {
+			if i > limit {
+				break
+			}
+			if si.Deleted {
 				continue
 			}
-			if i > 0 && len(si.Labels) > 0 {
-				safe = false
+			if first == nil {
+				first = si
 			}
-			if si.In.Op.IsBranch() || si.In.Op.IsJump() || si.In.Op == axp.CALLPAL {
-				safe = false
+			if si != hi && si != lo && !pairMovableOver(si, i) {
+				return false
 			}
-			if si.In.Writes() == axp.GP || si.In.Writes() == axp.PV {
-				safe = false
-			}
-			for _, r := range si.In.Reads() {
-				if r == axp.GP {
-					safe = false
-				}
-			}
-		}
-		if !safe {
-			return false
+			i++
 		}
 		// Rebuild the full instruction list with the pair first, carrying
 		// any entry labels along.
-		entryLabels := append([]int(nil), live[0].Labels...)
-		live[0].Labels = nil
-		rest := make([]*SInst, 0, len(pr.Insts))
+		entryLabels := append([]int(nil), first.Labels...)
+		first.Labels = nil
+		hi.Labels = append(entryLabels, hi.Labels...)
+		insts := make([]*SInst, 0, len(pr.Insts))
+		insts = append(insts, hi, lo)
 		for _, si := range pr.Insts {
 			if si != hi && si != lo {
-				rest = append(rest, si)
+				insts = append(insts, si)
 			}
 		}
-		hi.Labels = append(entryLabels, hi.Labels...)
-		pr.Insts = append([]*SInst{hi, lo}, rest...)
+		pr.Insts = insts
+		// The pair now leads the procedure; it sits at entry unless its lo
+		// half was already deleted.
+		pr.PairAtEntry = !lo.Deleted
 		return true
 	})
-	markPairPositions(pg)
+}
+
+// pairMovableOver reports whether the prologue GP pair may move above si,
+// the live instruction at index i: si must be in the entry block and must
+// neither transfer control nor touch GP or PV.
+func pairMovableOver(si *SInst, i int) bool {
+	if i > 0 && len(si.Labels) > 0 {
+		return false
+	}
+	if si.In.Op.IsBranch() || si.In.Op.IsJump() || si.In.Op == axp.CALLPAL {
+		return false
+	}
+	if si.In.Writes() == axp.GP || si.In.Writes() == axp.PV {
+		return false
+	}
+	for _, r := range si.In.Reads() {
+		if r == axp.GP {
+			return false
+		}
+	}
+	return true
 }
 
 // procUsesGP reports whether any live non-GP-establishing instruction of the
