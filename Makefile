@@ -84,23 +84,27 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkObjfileRead|BenchmarkLift$$' -benchmem \
 		-benchtime 1x -count 1 . ./internal/objfile
 
-# bench-link runs the incremental warm-path link benchmarks (cold
-# decode+merge+link vs relinks through the resident caches) and records
-# them, with allocation counts, as BENCH_link.json. Commit the refreshed
-# file when touching the warm path.
+# bench-link runs the link benchmarks — cold decode+merge+link of li and of
+# a progen 4x program, relinks through the resident caches, and the cold
+# front end's object decode and lift — and records them, with allocation
+# counts, as BENCH_link.json. Commit the refreshed file when touching the
+# link pipeline.
 bench-link:
-	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)' \
-		-benchmem -benchtime 2s -count 1 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkLift$$|BenchmarkObjfileRead' \
+		-benchmem -benchtime 2s -count 1 . ./internal/objfile \
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
 
 # linkbench-smoke keeps the warm-path suite honest on every push: each link
 # benchmark runs once, then a command-line -warmcheck link proves a warm
-# relink is byte-identical to the cold link that preceded it.
+# relink is byte-identical to the cold link that preceded it. The program's
+# 32 KB common array makes OM ship its data region as two segments (the
+# zero commons become the first one's ZeroSize), so the check covers split
+# images too.
 linkbench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)' -benchtime 1x -count 1 .
 	@dir=$$(mktemp -d); \
-	printf 'long g;\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); i = i + 1; } return g; }\n' > $$dir/t.tc; \
+	printf 'long g;\nlong big[4096];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i * 400] = g; i = i + 1; } return g + big[3600]; }\n' > $$dir/t.tc; \
 	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \
 	$(GO) run ./cmd/om -warmcheck -o $$dir/a.out $$dir/t.o; \
 	status=$$?; rm -rf $$dir; exit $$status

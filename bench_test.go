@@ -25,6 +25,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
+	"repro/internal/progen"
 	"repro/internal/rtlib"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -218,8 +219,10 @@ func serializeObjects(b *testing.B, objs []*objfile.Object) [][]byte {
 	return raw
 }
 
-func BenchmarkLinkCold(b *testing.B) {
-	raw := serializeObjects(b, buildObjects(b, "li"))
+// linkCold times the daemon's cold path over the given objects: decode
+// every module from its wire bytes, merge, and link at OM-full.
+func linkCold(b *testing.B, objs []*objfile.Object) {
+	raw := serializeObjects(b, objs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var objs []*objfile.Object
@@ -234,6 +237,30 @@ func BenchmarkLinkCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLinkCold links li, whose 768 KB of commons make it the program
+// with the most zero data.
+func BenchmarkLinkCold(b *testing.B) { linkCold(b, buildObjects(b, "li")) }
+
+// BenchmarkLinkColdProgen links a progen 4x program: five times li's text,
+// small commons, so it weighs the pointerful symbolic form rather than data.
+func BenchmarkLinkColdProgen(b *testing.B) {
+	cfg := progen.DefaultConfig()
+	cfg.FuncsPerMod *= 4
+	var objs []*objfile.Object
+	for _, m := range progen.Generate(1, cfg) {
+		obj, err := tcc.Compile(m.Name, []tcc.Source{m}, tcc.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	lib, err := rtlib.StandardObjects()
+	if err != nil {
+		b.Fatal(err)
+	}
+	linkCold(b, append(objs, lib...))
 }
 
 // warmLink primes the resident caches with one full link per option set,

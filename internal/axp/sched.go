@@ -23,25 +23,51 @@ func OpLatency(op Op) int {
 // in both files, and conservative memory ordering (stores are ordered with
 // every other memory access; loads may reorder among themselves).
 func ScheduleOrder(insts []Inst) []int {
+	var s Scheduler
+	return s.Order(insts)
+}
+
+// Scheduler is ScheduleOrder with reusable working storage: the dependence
+// graph's nodes, each node's successor list and the returned order keep
+// their capacity across calls, so scheduling every block of a program
+// allocates only when a block is larger than any before it. The zero value
+// is ready to use; a Scheduler is not safe for concurrent use.
+type Scheduler struct {
+	nodes []schedNode
+	order []int
+}
+
+type schedNode struct {
+	reads, writes   uint64
+	freads, fwrites uint64
+	isMem, isStore  bool
+	scheduled       bool
+	lat             int
+	succs           []int32
+	npreds          int
+	prio            int
+	ready           int
+}
+
+// Order schedules insts like ScheduleOrder. The returned slice is owned by
+// the Scheduler and valid until its next call.
+func (s *Scheduler) Order(insts []Inst) []int {
 	n := len(insts)
-	order := make([]int, 0, n)
-	if n == 0 {
+	if cap(s.order) < n {
+		s.order = make([]int, 0, n)
+	}
+	order := s.order[:0]
+	if n <= 1 {
+		if n == 1 {
+			order = append(order, 0)
+		}
 		return order
 	}
-	if n == 1 {
-		return append(order, 0)
+	if cap(s.nodes) < n {
+		// Growing drops every successor list; reuse keeps them.
+		s.nodes = make([]schedNode, n)
 	}
-	type node struct {
-		reads, writes   uint64
-		freads, fwrites uint64
-		isMem, isStore  bool
-		lat             int
-		succs           []int
-		npreds          int
-		prio            int
-		ready           int
-	}
-	nodes := make([]node, n)
+	nodes := s.nodes[:n]
 	for i, in := range insts {
 		reads, freads := in.ReadMasks()
 		var writes, fwrites uint64
@@ -51,11 +77,12 @@ func ScheduleOrder(insts []Inst) []int {
 		if fw := in.WritesF(); fw != FZero {
 			fwrites |= 1 << fw
 		}
-		nodes[i] = node{
+		nodes[i] = schedNode{
 			reads: reads, writes: writes, freads: freads, fwrites: fwrites,
 			isMem:   in.Op.IsMem(),
 			isStore: in.Op.IsStore(),
 			lat:     OpLatency(in.Op),
+			succs:   nodes[i].succs[:0],
 		}
 	}
 	for j := 1; j < n; j++ {
@@ -69,27 +96,26 @@ func ScheduleOrder(insts []Inst) []int {
 				ni.fwrites&nj.fwrites != 0 ||
 				(ni.isMem && nj.isMem && (ni.isStore || nj.isStore))
 			if dep {
-				ni.succs = append(ni.succs, j)
+				ni.succs = append(ni.succs, int32(j))
 				nj.npreds++
 			}
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		p := nodes[i].lat
-		for _, s := range nodes[i].succs {
-			if nodes[i].lat+nodes[s].prio > p {
-				p = nodes[i].lat + nodes[s].prio
+		for _, succ := range nodes[i].succs {
+			if nodes[i].lat+nodes[succ].prio > p {
+				p = nodes[i].lat + nodes[succ].prio
 			}
 		}
 		nodes[i].prio = p
 	}
-	scheduled := make([]bool, n)
 	clock := 0
 	for len(order) < n {
 		best := -1
 		minFuture := 1 << 30
 		for i := 0; i < n; i++ {
-			if scheduled[i] || nodes[i].npreds > 0 {
+			if nodes[i].scheduled || nodes[i].npreds > 0 {
 				continue
 			}
 			if nodes[i].ready > clock {
@@ -107,15 +133,16 @@ func ScheduleOrder(insts []Inst) []int {
 			clock = minFuture
 			continue
 		}
-		scheduled[best] = true
+		nodes[best].scheduled = true
 		order = append(order, best)
-		for _, s := range nodes[best].succs {
-			nodes[s].npreds--
-			if t := clock + nodes[best].lat; t > nodes[s].ready {
-				nodes[s].ready = t
+		for _, succ := range nodes[best].succs {
+			nodes[succ].npreds--
+			if t := clock + nodes[best].lat; t > nodes[succ].ready {
+				nodes[succ].ready = t
 			}
 		}
 		clock++
 	}
+	s.order = order
 	return order
 }

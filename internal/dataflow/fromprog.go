@@ -93,7 +93,7 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 			inst.SetsGP, inst.SetsGPHi, inst.GPAnchor = -1, -1, -1
 			inst.HasLabel = len(si.Labels) > 0
 			if si.Target >= 0 {
-				if t, ok := labelIdx[si.Target]; ok && t < len(live) {
+				if t, ok := labelIdx[int(si.Target)]; ok && t < len(live) {
 					inst.BranchTo = t
 				}
 			}

@@ -1,7 +1,9 @@
 package om
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/axp"
@@ -15,147 +17,42 @@ import (
 // from a memoized snapshot that concurrent Runs share — no defensive clone,
 // no races.
 
-// normalizeLabels computes the live instruction list and, in labs, the
-// label set addressing each live instruction: labels on deleted
-// instructions move onto the next live one. labs[i] belongs to live[i];
-// the procedure itself is never modified. Results are appended to the
-// passed-in buffers (emission scratch), reusing their capacity.
-func normalizeLabels(pr *Proc, live []*SInst, labs [][]int) ([]*SInst, [][]int, error) {
-	var pending []int
-	for _, si := range pr.Insts {
-		if si.Deleted {
-			pending = append(pending, si.Labels...)
-			continue
-		}
-		l := si.Labels
-		if len(pending) > 0 {
-			l = append(pending, si.Labels...)
-			pending = nil
-		}
-		live = append(live, si)
-		labs = append(labs, l)
-	}
-	if len(pending) > 0 {
-		return nil, nil, fmt.Errorf("om: %s: labels %v dangle past the last instruction", pr.Name, pending)
-	}
-	return live, labs, nil
-}
+// labelPos places one label at an index of its procedure's final
+// instruction list.
+type labelPos struct{ label, pos int32 }
 
-// rescheduleProc list-schedules each basic block of the live instruction
-// list, using the same latency model as the compile-time scheduler. A
-// GP-setup pair at procedure entry is pinned there: callers may be
-// branching to entry+8 to skip it.
-func rescheduleProc(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
-	pinned := 0
-	if len(live) >= 2 &&
-		live[0].GPD != nil && live[0].GPD.High && live[0].GPD.Entry &&
-		live[1].GPD != nil && live[1] == live[0].GPD.Partner {
-		pinned = 2
-	}
-	if pinned > 0 {
-		rest, restLabs := rescheduleBody(live[pinned:], labs[pinned:])
-		return append(live[:pinned:pinned], rest...), append(labs[:pinned:pinned], restLabs...)
-	}
-	return rescheduleBody(live, labs)
-}
+// alignPad is the unop alignLoopTargets inserts. Emission only reads it, so
+// every padding slot of every emission shares this one instruction; its ord
+// of -1 keeps it out of the address scratch.
+var alignPad = SInst{In: axp.Unop(), Target: -1, ord: -1}
 
-// rescheduleBody schedules without any pinned prefix.
-func rescheduleBody(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
-	isEnd := func(in axp.Inst) bool {
-		return in.Op.IsBranch() || in.Op.IsJump() || in.Op == axp.CALLPAL
-	}
-	out := make([]*SInst, 0, len(live))
-	outLabs := make([][]int, 0, len(live))
-	start := 0
-	flush := func(end int) {
-		if end > start {
-			seg := live[start:end]
-			raw := make([]axp.Inst, len(seg))
-			for i, si := range seg {
-				raw[i] = si.In
-			}
-			order := axp.ScheduleOrder(raw)
-			scheduled := make([]*SInst, len(seg))
-			for pos, idx := range order {
-				scheduled[pos] = seg[idx]
-			}
-			out = append(out, scheduled...)
-			// Only seg[0] can carry labels — a labeled instruction forces a
-			// flush before itself — and they address the segment's first
-			// slot in the new order.
-			outLabs = append(outLabs, labs[start])
-			for i := 1; i < len(seg); i++ {
-				outLabs = append(outLabs, nil)
-			}
-		}
-		start = end
-	}
-	for i, si := range live {
-		if len(labs[i]) > 0 {
-			flush(i)
-		}
-		if isEnd(si.In) {
-			flush(i)
-			out = append(out, si)
-			outLabs = append(outLabs, labs[i])
-			start = i + 1
-		}
-	}
-	flush(len(live))
-	return out, outLabs
-}
-
-// alignLoopTargets inserts unops so that instructions targeted by backward
-// branches start on a quadword boundary (procedure bases are quadword
-// aligned). This is the OM-full alignment pass that helps the dual-issue
-// fetcher. Inserted padding carries ord -1: it is emission-local and has no
-// slot in the address scratch.
-func alignLoopTargets(live []*SInst, labs [][]int) ([]*SInst, [][]int) {
-	// Identify labels targeted by a later (backward) branch.
-	labelIdx := make(map[int]int)
-	for i := range live {
-		for _, l := range labs[i] {
-			labelIdx[l] = i
-		}
-	}
-	backward := make(map[int]bool)
-	for i, si := range live {
-		if si.Target >= 0 {
-			if ti, ok := labelIdx[si.Target]; ok && ti <= i {
-				backward[si.Target] = true
-			}
-		}
-	}
-	if len(backward) == 0 {
-		return live, labs
-	}
-	out := make([]*SInst, 0, len(live)+8)
-	outLabs := make([][]int, 0, len(live)+8)
-	off := 0
-	for i, si := range live {
-		isTarget := false
-		for _, l := range labs[i] {
-			if backward[l] {
-				isTarget = true
-			}
-		}
-		if isTarget && off%8 != 0 {
-			out = append(out, &SInst{In: axp.Unop(), Target: -1, ord: -1})
-			outLabs = append(outLabs, nil)
-			off += 4
-		}
-		out = append(out, si)
-		outLabs = append(outLabs, labs[i])
-		off += 4
-	}
-	return out, outLabs
-}
-
-// emitScratch holds Emit's reusable working storage, pooled so a resident
-// daemon's warm relinks do not reallocate it per job.
+// emitScratch holds Emit's working storage. Every buffer is sized exactly
+// from the program being emitted, never grown by doubling, and reused by
+// later emissions that fit; the value is pooled so a resident daemon's warm
+// relinks do not reallocate it per job.
 type emitScratch struct {
-	finals [][]*SInst
-	labs   [][][]int
+	// insts holds every procedure's final instruction list back to back:
+	// procedure i's is insts[start[i]:start[i+1]]. Its capacity is the
+	// program's instruction count plus, when scheduling, one alignment
+	// unop per label.
+	insts []*SInst
+	start []int32
+	// labs holds, for the same procedure i, labs[labStart[i]:labStart[i+1]]:
+	// every label's position in the final list, in position order. Labels
+	// address positions, not instructions, so rescheduling a block (a
+	// permutation that keeps labeled instructions first) leaves them be.
+	labs     []labelPos
+	labStart []int32
+	// labelIdx (-1 = unplaced) and backward are indexed by label, for the
+	// procedure at hand.
+	labelIdx []int32
+	backward []bool
+	// pads are the positions alignLoopTargets puts a unop before.
+	pads []int32
+	// raw, block and sched reschedule one basic block at a time.
+	raw   []axp.Inst
+	block []*SInst
+	sched axp.Scheduler
 	// addrs maps an instruction's ordinal (SInst.ord) to its final text
 	// address for this emission. 0 means "not part of the current emission"
 	// (all text bases are nonzero), which is how a GP reset anchored to a
@@ -169,37 +66,197 @@ type emitScratch struct {
 	// gaps are the alignment-padding word addresses between procedures —
 	// the only text words the encode loop does not write, filled with
 	// unops instead of prefilling the whole region.
-	gaps      []uint64
-	labelAddr map[int]uint64
+	gaps []uint64
+	// extents are the initialized data extents, pieces the runs Emit
+	// materializes (see ZeroSplitMin).
+	extents []dataExtent
+	pieces  []dataExtent
 }
 
 var emitScratchPool = sync.Pool{
-	New: func() any {
-		return &emitScratch{
-			procAddr:  make(map[*Proc]uint64, 64),
-			labelAddr: make(map[int]uint64, 64),
-		}
-	},
+	New: func() any { return &emitScratch{procAddr: make(map[*Proc]uint64, 64)} },
 }
 
-// release drops instruction and label references (so the pool never pins a
-// program) while keeping every backing array's capacity, and returns the
+// fit returns buf emptied, or a new buffer of capacity exactly n when buf
+// cannot hold n elements.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// size readies the scratch for one emission of pg.
+func (sc *emitScratch) size(pg *Prog, pl *Plan, sched bool) {
+	nInsts, nLabels, maxInsts, maxLabels := 0, 0, 0, 0
+	for _, pr := range pg.Procs {
+		nInsts += len(pr.Insts)
+		nLabels += pr.nextLabel
+		maxInsts = max(maxInsts, len(pr.Insts))
+		maxLabels = max(maxLabels, pr.nextLabel)
+	}
+	pads := 0
+	if sched {
+		pads = nLabels
+		sc.raw = fit(sc.raw, maxInsts)[:maxInsts]
+		sc.block = fit(sc.block, maxInsts)[:maxInsts]
+		sc.pads = fit(sc.pads, maxLabels)
+		sc.backward = fit(sc.backward, maxLabels)[:maxLabels]
+	}
+	sc.insts = fit(sc.insts, nInsts+pads)
+	sc.start = fit(sc.start, len(pg.Procs)+1)
+	sc.labs = fit(sc.labs, nLabels)
+	sc.labStart = fit(sc.labStart, len(pg.Procs)+1)
+	sc.labelIdx = fit(sc.labelIdx, maxLabels)[:maxLabels]
+	for i := range sc.labelIdx {
+		sc.labelIdx[i] = -1
+	}
+	sc.addrs = fit(sc.addrs, pg.nOrd)[:pg.nOrd]
+	clear(sc.addrs)
+	sc.gaps = fit(sc.gaps, len(pg.Procs))
+	sc.extents = fit(sc.extents, 2+len(pl.gat.Slots)+2*len(pg.P.Objects))
+	sc.pieces = fit(sc.pieces, cap(sc.extents))
+}
+
+// release drops instruction and image-data references (so the pool never
+// pins a program or an image) while keeping every buffer, and returns the
 // scratch to the pool.
 func (sc *emitScratch) release() {
-	for i := range sc.finals {
-		f := sc.finals[i][:cap(sc.finals[i])]
-		clear(f)
-		sc.finals[i] = f[:0]
-	}
-	for i := range sc.labs {
-		l := sc.labs[i][:cap(sc.labs[i])]
-		clear(l)
-		sc.labs[i] = l[:0]
-	}
+	clear(sc.insts[:cap(sc.insts)])
+	clear(sc.block[:cap(sc.block)])
+	clear(sc.pieces[:cap(sc.pieces)])
 	clear(sc.procAddr)
-	clear(sc.labelAddr)
-	sc.gaps = sc.gaps[:0]
 	emitScratchPool.Put(sc)
+}
+
+// proc returns procedure i's final instructions and label positions.
+func (sc *emitScratch) proc(i int) ([]*SInst, []labelPos) {
+	return sc.insts[sc.start[i]:sc.start[i+1]], sc.labs[sc.labStart[i]:sc.labStart[i+1]]
+}
+
+// normalizeLabels appends the procedure's live instructions to insts and
+// their label positions to labs: labels on deleted instructions move onto
+// the next live one. The procedure itself is never modified.
+func (sc *emitScratch) normalizeLabels(pr *Proc) error {
+	first := len(sc.insts)
+	for _, si := range pr.Insts {
+		// A deleted instruction's labels address the index the next live
+		// instruction will take.
+		for _, l := range si.Labels {
+			if l < 0 || l >= pr.nextLabel {
+				return fmt.Errorf("om: %s: label %d was never allocated", pr.Name, l)
+			}
+			sc.labs = append(sc.labs, labelPos{label: int32(l), pos: int32(len(sc.insts) - first)})
+		}
+		if !si.Deleted {
+			sc.insts = append(sc.insts, si)
+		}
+	}
+	n := len(sc.insts) - first
+	for _, lp := range sc.labs[sc.labStart[len(sc.labStart)-1]:] {
+		if int(lp.pos) == n {
+			return fmt.Errorf("om: %s: label %d dangles past the last instruction", pr.Name, lp.label)
+		}
+	}
+	return nil
+}
+
+// rescheduleProc list-schedules each basic block of the live instruction
+// list in place, using the same latency model as the compile-time
+// scheduler. A block ends before a labeled instruction and at a branch,
+// jump or PAL call, which stay put. A GP-setup pair at procedure entry is
+// pinned there: callers may be branching to entry+8 to skip it.
+func (sc *emitScratch) rescheduleProc(live []*SInst, labs []labelPos) {
+	pinned := 0
+	if len(live) >= 2 &&
+		live[0].GPD != nil && live[0].GPD.High && live[0].GPD.Entry &&
+		live[1].GPD != nil && live[1] == live[0].GPD.Partner {
+		pinned = 2
+	}
+	start := pinned
+	flush := func(end int) {
+		if end-start > 1 {
+			blk := live[start:end]
+			raw, tmp := sc.raw[:len(blk)], sc.block[:len(blk)]
+			for i, si := range blk {
+				raw[i], tmp[i] = si.In, si
+			}
+			for pos, idx := range sc.sched.Order(raw) {
+				blk[pos] = tmp[idx]
+			}
+		}
+		start = end
+	}
+	for i, li := pinned, 0; i < len(live); i++ {
+		for li < len(labs) && int(labs[li].pos) < i {
+			li++
+		}
+		if li < len(labs) && int(labs[li].pos) == i {
+			flush(i)
+		}
+		if in := live[i].In; in.Op.IsBranch() || in.Op.IsJump() || in.Op == axp.CALLPAL {
+			flush(i)
+			start = i + 1
+		}
+	}
+	flush(len(live))
+}
+
+// alignLoopTargets inserts unops so that instructions targeted by backward
+// branches start on a quadword boundary (procedure bases are quadword
+// aligned). This is the OM-full alignment pass that helps the dual-issue
+// fetcher. The procedure's list is the tail of insts; it grows in place and
+// its label positions shift with their instructions.
+func (sc *emitScratch) alignLoopTargets(first int, labs []labelPos) {
+	live := sc.insts[first:]
+	for _, lp := range labs {
+		sc.labelIdx[lp.label] = lp.pos
+	}
+	found := false
+	for i, si := range live {
+		if t := si.Target; t >= 0 && int(t) < len(sc.labelIdx) {
+			if ti := sc.labelIdx[t]; ti >= 0 && int(ti) <= i {
+				sc.backward[t] = true
+				found = true
+			}
+		}
+	}
+	if found {
+		// A unop goes before a backward target whose offset, counting the
+		// unops already placed, is not a quadword multiple.
+		pads := sc.pads[:0]
+		for k := 0; k < len(labs); {
+			pos, target := labs[k].pos, false
+			for ; k < len(labs) && labs[k].pos == pos; k++ {
+				target = target || sc.backward[labs[k].label]
+			}
+			if target && (int(pos)+len(pads))%2 != 0 {
+				pads = append(pads, pos)
+			}
+		}
+		sc.pads = pads
+		if n := len(live); len(pads) > 0 {
+			sc.insts = slices.Grow(sc.insts, len(pads))[:len(sc.insts)+len(pads)]
+			live = sc.insts[first:]
+			for i, k := n-1, len(pads); i >= 0; i-- {
+				live[i+k] = live[i]
+				if k > 0 && int(pads[k-1]) == i {
+					k--
+					live[i+k] = &alignPad
+				}
+			}
+			for i, k := 0, 0; i < len(labs); i++ {
+				for k < len(pads) && pads[k] <= labs[i].pos {
+					k++
+				}
+				labs[i].pos += int32(k)
+			}
+		}
+	}
+	for _, lp := range labs {
+		sc.labelIdx[lp.label] = -1
+		sc.backward[lp.label] = false
+	}
 }
 
 // Emit regenerates an executable image from the symbolic program under the
@@ -215,47 +272,39 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	}
 	sc := emitScratchPool.Get().(*emitScratch)
 	defer sc.release()
-	if cap(sc.addrs) < pg.nOrd {
-		sc.addrs = make([]uint64, pg.nOrd)
-	}
-	addrs := sc.addrs[:pg.nOrd]
-	clear(addrs)
+	sc.size(pg, pl, sched)
+	addrs := sc.addrs
 
 	// Finalize instruction lists and procedure addresses, per region.
-	if cap(sc.finals) < len(pg.Procs) {
-		sc.finals = make([][]*SInst, len(pg.Procs))
-	}
-	if cap(sc.labs) < len(pg.Procs) {
-		sc.labs = make([][][]int, len(pg.Procs))
-	}
-	finals := sc.finals[:len(pg.Procs)]
-	labsAll := sc.labs[:len(pg.Procs)]
 	procAddr := sc.procAddr
 	tcur := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
-	for i, pr := range pg.Procs {
-		live, labs, err := normalizeLabels(pr, finals[i][:0], labsAll[i][:0])
-		if err != nil {
+	for _, pr := range pg.Procs {
+		first := len(sc.insts)
+		sc.start = append(sc.start, int32(first))
+		sc.labStart = append(sc.labStart, int32(len(sc.labs)))
+		if err := sc.normalizeLabels(pr); err != nil {
 			return nil, err
 		}
 		if sched {
-			live, labs = rescheduleProc(live, labs)
-			live, labs = alignLoopTargets(live, labs)
+			labs := sc.labs[sc.labStart[len(sc.labStart)-1]:]
+			sc.rescheduleProc(sc.insts[first:], labs)
+			sc.alignLoopTargets(first, labs)
 		}
-		finals[i] = live
-		labsAll[i] = labs
 		r := pl.regionOf(pr.Mod)
 		for tcur[r]%8 != 0 {
 			sc.gaps = append(sc.gaps, tcur[r])
 			tcur[r] += 4
 		}
 		procAddr[pr] = tcur[r]
-		for _, si := range live {
+		for _, si := range sc.insts[first:] {
 			if si.ord >= 0 {
 				addrs[si.ord] = tcur[r]
 			}
 			tcur[r] += 4
 		}
 	}
+	sc.start = append(sc.start, int32(len(sc.insts)))
+	sc.labStart = append(sc.labStart, int32(len(sc.labs)))
 
 	// Encode into per-region text blobs.
 	textBases := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
@@ -277,18 +326,14 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	for _, a := range sc.gaps {
 		putWord(a, unop)
 	}
-	labelAddr := sc.labelAddr
+	labelIdx := sc.labelIdx
 	for pi, pr := range pg.Procs {
 		gp := int64(pl.GPOf(pr))
 		gatIdx := pl.GPGroup(pr)
-		live := finals[pi]
-		labs := labsAll[pi]
+		live, labs := sc.proc(pi)
 		base := procAddr[pr]
-		clear(labelAddr)
-		for i := range live {
-			for _, l := range labs[i] {
-				labelAddr[l] = base + 4*uint64(i)
-			}
+		for _, lp := range labs {
+			labelIdx[lp.label] = lp.pos
 		}
 		for idx, si := range live {
 			in := si.In
@@ -346,12 +391,11 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 						pr.Name, addr, si.Call.Target.Name, si.Call.EntryOffset)
 				}
 				in.Disp = d
-			} else if si.Target >= 0 {
-				ta, ok := labelAddr[si.Target]
-				if !ok {
-					return nil, fmt.Errorf("om: %s: missing label %d", pr.Name, si.Target)
+			} else if t := si.Target; t >= 0 {
+				if int(t) >= len(labelIdx) || labelIdx[t] < 0 {
+					return nil, fmt.Errorf("om: %s: missing label %d", pr.Name, t)
 				}
-				d, ok := axp.BranchDispTo(addr, ta)
+				d, ok := axp.BranchDispTo(addr, base+4*uint64(labelIdx[t]))
 				if !ok {
 					return nil, fmt.Errorf("om: %s: branch out of range", pr.Name)
 				}
@@ -363,46 +407,70 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			}
 			putWord(addr, w)
 		}
+		for _, lp := range labs {
+			labelIdx[lp.label] = -1
+		}
 	}
 
 	// Data segments under the plan's placement, per region. Only the
-	// initialized extent — GATs plus the placed sdata/data sections — is
-	// materialized; everything past it (bss, sbss, commons placed at the
-	// tail) becomes the segment's ZeroSize, which the loader zero-fills.
-	// On a warm relink this is most of the data region, so the saving is
-	// what keeps the resident pipeline's allocation rate flat.
+	// initialized extents — GATs and the placed .sdata/.data sections — are
+	// materialized, in one exact-sized buffer; zero extents of at least
+	// ZeroSplitMin between and after them ship as ZeroSize.
 	dataBases := [2]uint64{objfile.DataBase, objfile.SharedDataBase}
-	dataInit := dataBases
+	ext := sc.extents
+	for r, b := range dataBases {
+		// Each region's first segment starts at its base, GAT or not.
+		ext = append(ext, dataExtent{region: r, lo: b, hi: b})
+	}
 	for g, slots := range pl.gat.Slots {
 		r := 0
 		if pl.gat.GATShared[g] {
 			r = 1
 		}
-		if end := pl.gatStart[g] + uint64(len(slots))*8; end > dataInit[r] {
-			dataInit[r] = end
-		}
+		ext = append(ext, dataExtent{region: r, lo: pl.gatStart[g], hi: pl.gatStart[g] + uint64(len(slots))*8})
 	}
 	for m, obj := range p.Objects {
-		r := pl.regionOf(m)
-		for _, sec := range []objfile.SectionKind{objfile.SecSData, objfile.SecData} {
-			if end := pl.secBase[m][sec] + obj.Sections[sec].Size; end > dataInit[r] {
-				dataInit[r] = end
+		for _, sec := range initializedSections {
+			if sz := obj.Sections[sec].Size; sz > 0 {
+				lo := pl.secBase[m][sec]
+				ext = append(ext, dataExtent{region: pl.regionOf(m), lo: lo, hi: (lo + sz + 7) &^ 7})
 			}
 		}
 	}
-	for r := 0; r < 2; r++ {
-		dataInit[r] = (dataInit[r] + 7) &^ 7
-	}
-	blobs := [2][]byte{
-		make([]byte, dataInit[0]-objfile.DataBase),
-		make([]byte, dataInit[1]-objfile.SharedDataBase),
-	}
-	putQuad := func(addr uint64, v uint64) {
-		r := 0
-		if addr >= objfile.SharedDataBase {
-			r = 1
+	slices.SortFunc(ext, func(a, b dataExtent) int { return cmp.Compare(a.lo, b.lo) })
+	pieces := sc.pieces
+	for _, e := range ext {
+		if n := len(pieces); n > 0 && pieces[n-1].region == e.region && e.lo < pieces[n-1].hi+ZeroSplitMin {
+			pieces[n-1].hi = max(pieces[n-1].hi, e.hi)
+			continue
 		}
-		objfile.PutUint64(blobs[r], addr-dataBases[r], v)
+		pieces = append(pieces, e)
+	}
+	total := uint64(0)
+	for _, pc := range pieces {
+		total += pc.hi - pc.lo
+	}
+	buf := make([]byte, total)
+	for i := range pieces {
+		n := pieces[i].hi - pieces[i].lo
+		pieces[i].data, buf = buf[:n:n], buf[n:]
+	}
+	sc.extents, sc.pieces = ext, pieces
+	at := func(addr uint64) []byte {
+		for i := range pieces {
+			if pc := &pieces[i]; addr >= pc.lo && addr < pc.hi {
+				return pc.data[addr-pc.lo:]
+			}
+		}
+		return nil
+	}
+	putQuad := func(addr uint64, v uint64) error {
+		b := at(addr)
+		if len(b) < 8 {
+			return fmt.Errorf("om: address quadword at %#x outside initialized data", addr)
+		}
+		objfile.PutUint64(b, 0, v)
+		return nil
 	}
 	addrOfKey := func(k link.TargetKey) (uint64, error) { return pl.addrOfKeyAt(k, procAddr) }
 	for g, slots := range pl.gat.Slots {
@@ -411,13 +479,16 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			if err != nil {
 				return nil, err
 			}
-			putQuad(pl.gatStart[g]+uint64(i*8), a)
+			if err := putQuad(pl.gatStart[g]+uint64(i*8), a); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for m, obj := range p.Objects {
-		region := pl.regionOf(m)
-		for _, sec := range []objfile.SectionKind{objfile.SecSData, objfile.SecData} {
-			copy(blobs[region][pl.secBase[m][sec]-dataBases[region]:], obj.Sections[sec].Data)
+		for _, sec := range initializedSections {
+			if len(obj.Sections[sec].Data) > 0 {
+				copy(at(pl.secBase[m][sec]), obj.Sections[sec].Data)
+			}
 		}
 		for _, r := range obj.Relocs {
 			if r.Kind != objfile.RRefQuad || r.Section == objfile.SecLita {
@@ -427,7 +498,9 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			if err != nil {
 				return nil, err
 			}
-			putQuad(pl.secBase[m][r.Section]+r.Offset, a)
+			if err := putQuad(pl.secBase[m][r.Section]+r.Offset, a); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -444,24 +517,29 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 		return nil, fmt.Errorf("om: entry symbol %s not found", p.EntryName)
 	}
 	im := &objfile.Image{
-		Entry: entryAddr,
-		Segments: []objfile.Segment{
-			{Name: ".text", Addr: objfile.TextBase, Data: texts[0]},
-			{Name: ".data", Addr: objfile.DataBase, Data: blobs[0],
-				ZeroSize: pl.dataEnd[0] - dataInit[0]},
-		},
+		Entry:    entryAddr,
+		Segments: make([]objfile.Segment, 0, 2+len(pieces)),
 	}
+	im.Segments = append(im.Segments, objfile.Segment{Name: ".text", Addr: objfile.TextBase, Data: texts[0]})
+	im.Segments = appendDataSegments(im.Segments, ".data", pieces, 0, pl.dataEnd[0])
 	if len(texts[1]) > 0 || pl.dataEnd[1] > objfile.SharedDataBase {
-		im.Segments = append(im.Segments,
-			objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]},
-			objfile.Segment{Name: ".data.so", Addr: objfile.SharedDataBase, Data: blobs[1],
-				ZeroSize: pl.dataEnd[1] - dataInit[1]},
-		)
+		im.Segments = append(im.Segments, objfile.Segment{Name: ".text.so", Addr: objfile.SharedTextBase, Data: texts[1]})
+		im.Segments = appendDataSegments(im.Segments, ".data.so", pieces, 1, pl.dataEnd[1])
 	}
+	nsyms := len(pg.Procs) + len(p.Commons)
+	for _, obj := range p.Objects {
+		for s := range obj.Symbols {
+			if obj.Symbols[s].Kind == objfile.SymData {
+				nsyms++
+			}
+		}
+	}
+	im.Symbols = make([]objfile.ImageSymbol, 0, nsyms)
+	im.GATs = make([]objfile.GATRange, 0, len(pl.gat.Slots))
 	for pi, pr := range pg.Procs {
 		im.Symbols = append(im.Symbols, objfile.ImageSymbol{
 			Name: pr.Name, Addr: procAddr[pr],
-			Size: uint64(len(finals[pi])) * 4, Kind: objfile.SymProc,
+			Size: uint64(sc.start[pi+1]-sc.start[pi]) * 4, Kind: objfile.SymProc,
 			GP: pl.GPOf(pr),
 		})
 	}
@@ -494,6 +572,77 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 		return nil, fmt.Errorf("om: %w", err)
 	}
 	return im, nil
+}
+
+// ZeroSplitMin is the shortest run of zero quadwords Emit ships as a
+// segment's ZeroSize rather than as explicit bytes. A split trades Z zero
+// bytes — allocated and cleared by Emit, then written, read back and copied
+// into memory by every consumer of the image — for one more segment: a
+// 56-byte Segment, a ~40-byte serialized record (name, address, two
+// lengths), two allocations when the image is read back, and one more entry
+// in every per-address segment scan (the image checkers' quadword lookups;
+// sim.New coalesces contiguous segments into a single Reserve, so the
+// simulator pays nothing). Clearing and copying run at ~10 GB/s, so the
+// fixed cost of a segment, dominated by its ~50-100 ns allocations, is
+// worth about 1 KB of zeros in each of those passes. Twice that keeps every
+// split clearly profitable and bounds the segments an image gains to one
+// per 2 KB of zeros.
+const ZeroSplitMin = 2048
+
+// initializedSections are the object sections that carry bytes into the
+// data region.
+var initializedSections = [...]objfile.SectionKind{objfile.SecSData, objfile.SecData}
+
+// dataExtent is an address range of one data region: an initialized extent
+// while Emit collects them, then a piece — a run of extents whose zero gaps
+// are all shorter than ZeroSplitMin — with its materialized bytes.
+type dataExtent struct {
+	region int
+	lo, hi uint64 // quadword aligned
+	data   []byte
+}
+
+// appendDataSegments appends region r's data segments, covering
+// [base, end): every run of at least ZeroSplitMin zero bytes in whole
+// quadwords, inside or between the region's pieces, becomes the ZeroSize
+// of the segment before it, so a segment's Data starts (after the first
+// one) and ends with a nonzero quadword.
+func appendDataSegments(segs []objfile.Segment, name string, pieces []dataExtent, r int, end uint64) []objfile.Segment {
+	var cur *dataExtent // the piece holding the open segment's Data
+	segStart, nzEnd := uint64(0), uint64(0)
+	for i := range pieces {
+		pc := &pieces[i]
+		if pc.region != r {
+			continue
+		}
+		if cur == nil {
+			// The region's first piece starts at its base.
+			cur, segStart, nzEnd = pc, pc.lo, pc.lo
+		}
+		for a := pc.lo; a < pc.hi; a += 8 {
+			if objfile.Uint64At(pc.data, a-pc.lo) == 0 {
+				continue
+			}
+			if a-nzEnd >= ZeroSplitMin {
+				segs = append(segs, dataSegment(name, cur, segStart, nzEnd, a))
+				cur, segStart = pc, a
+			}
+			nzEnd = a + 8
+		}
+	}
+	if cur == nil {
+		return segs
+	}
+	return append(segs, dataSegment(name, cur, segStart, nzEnd, end))
+}
+
+// dataSegment is the segment at [lo, hi) of piece pc, zero-extended to next.
+func dataSegment(name string, pc *dataExtent, lo, hi, next uint64) objfile.Segment {
+	seg := objfile.Segment{Name: name, Addr: lo, ZeroSize: next - hi}
+	if hi > lo {
+		seg.Data = pc.data[lo-pc.lo : hi-pc.lo : hi-pc.lo]
+	}
+	return seg
 }
 
 // gprelDisp computes the final displacement of a GP-relative rewrite.

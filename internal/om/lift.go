@@ -25,14 +25,16 @@ import (
 	"repro/internal/objfile"
 )
 
-// SInst is one instruction in OM's symbolic form.
+// SInst is one instruction in OM's symbolic form. Field order packs it
+// into 104 bytes: lift allocates one slab of these per procedure, and every
+// resident lifted or memoized program holds them.
 type SInst struct {
 	In axp.Inst
+	// Target is the label a branch jumps to, or -1.
+	Target int32
 
 	// Labels are intra-procedure labels attached to this instruction.
 	Labels []int
-	// Target is the label a branch jumps to, or -1.
-	Target int
 
 	// Lit marks an address load from the GAT.
 	Lit *LitInfo
@@ -45,16 +47,9 @@ type SInst struct {
 	// GPRel marks an instruction rewritten to address data GP-relatively;
 	// its displacement is recomputed from the final layout at emission.
 	GPRel *GPRelInfo
-
-	// Deleted marks instructions removed by OM-full; they are skipped at
-	// emission. OM-simple instead overwrites In with a no-op.
-	Deleted bool
-
 	// PVLit records, for a direct jsr call site, the address load that
 	// materializes PV (for statistics after the Use link is dissolved).
 	PVLit *SInst
-	// Indirect marks a call through a procedure variable.
-	Indirect bool
 
 	// ord is the instruction's dense program-wide ordinal, assigned by
 	// Prog.renumber. Emit indexes its pooled address scratch with it, which
@@ -62,6 +57,12 @@ type SInst struct {
 	// concurrent Runs replay one memoized snapshot without cloning it.
 	// Instructions Emit fabricates itself (alignment padding) carry -1.
 	ord int32
+
+	// Deleted marks instructions removed by OM-full; they are skipped at
+	// emission. OM-simple instead overwrites In with a no-op.
+	Deleted bool
+	// Indirect marks a call through a procedure variable.
+	Indirect bool
 }
 
 // LitInfo describes an address load: ldq rX, slot(gp).
@@ -389,7 +390,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			if len(t.Labels) == 0 {
 				t.Labels = []int{pr.NewLabel()}
 			}
-			si.Target = t.Labels[0]
+			si.Target = int32(t.Labels[0])
 		}
 
 		// Pass 2: relocation annotations.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/axp"
 	"repro/internal/link"
@@ -261,7 +262,7 @@ func liftModuleRef(p *link.Program, m int, obj *objfile.Object) (*liftedModule, 
 				labelAt[int(ti)] = l
 				pr.Insts[ti].Labels = append(pr.Insts[ti].Labels, l)
 			}
-			si.Target = l
+			si.Target = int32(l)
 		}
 
 		// Pass 2: relocation annotations.
@@ -335,4 +336,15 @@ func liftModuleRef(p *link.Program, m int, obj *objfile.Object) (*liftedModule, 
 			obj.Name, obj.Sections[objfile.SecText].Size-covered)
 	}
 	return lm, nil
+}
+
+// TestSInstSize pins SInst's field packing on 64-bit hosts: lift allocates
+// one slab of them per procedure, the largest allocation of a cold link.
+func TestSInstSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	if n := unsafe.Sizeof(SInst{}); n != 104 {
+		t.Errorf("SInst is %d bytes, want 104", n)
+	}
 }

@@ -178,29 +178,37 @@ func New(im *objfile.Image, cfg Config) (*Machine, error) {
 	// sparse page map remains as the fallback for everything else. Data
 	// segments are reserved first: the arena list is searched in order and
 	// data traffic dominates the fallback-free path.
-	isText := make(map[uint64]bool)
-	for _, seg := range im.TextSegments() {
+	// A data region may ship as several contiguous segments (a split at
+	// each long zero run); each run of them gets one Reserve, since
+	// reserving them one by one would re-allocate and copy the merged arena
+	// per segment. Arenas start zeroed, so ZeroSize tails need no fill.
+	texts := im.TextSegments()
+	isText := make(map[uint64]bool, len(texts))
+	for _, seg := range texts {
 		isText[seg.Addr] = true
 	}
-	for i := range im.Segments {
+	for i := 0; i < len(im.Segments); {
 		seg := &im.Segments[i]
-		if !isText[seg.Addr] {
-			m.mem.Reserve(seg.Addr, uint64(len(seg.Data))+seg.ZeroSize)
+		if isText[seg.Addr] {
+			i++
+			continue
 		}
+		lo, hi := seg.Addr, seg.End()
+		for i++; i < len(im.Segments) && !isText[im.Segments[i].Addr] && im.Segments[i].Addr == hi; i++ {
+			hi = im.Segments[i].End()
+		}
+		m.mem.Reserve(lo, hi-lo)
 	}
 	m.mem.Reserve(objfile.StackTop-objfile.StackSize, objfile.StackSize)
-	for _, seg := range im.TextSegments() {
+	for _, seg := range texts {
 		m.mem.Reserve(seg.Addr, uint64(len(seg.Data)))
 	}
 
 	for i := range im.Segments {
 		seg := &im.Segments[i]
 		m.mem.LoadBytes(seg.Addr, seg.Data)
-		if seg.ZeroSize > 0 {
-			m.mem.LoadBytes(seg.Addr+uint64(len(seg.Data)), make([]byte, seg.ZeroSize))
-		}
 	}
-	for _, seg := range im.TextSegments() {
+	for _, seg := range texts {
 		insts, err := axp.DecodeAll(seg.Data)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s does not decode: %w", seg.Name, err)

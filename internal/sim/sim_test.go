@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +360,60 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+}
+
+// TestZeroSizeTailNotMaterialized loads a data region shipped as two
+// contiguous segments, the first ending in a 1 MB ZeroSize tail (how OM
+// ships a large commons gap): the tail reads as zeros, the second segment's
+// bytes are where they belong, and New allocates nothing for the tail
+// beyond the arena that backs it — no fill buffer, no second arena from
+// reserving the segments one by one.
+func TestZeroSizeTailNotMaterialized(t *testing.T) {
+	const zeroSize = 1 << 20
+	build := func(zs uint64) *objfile.Image {
+		im := image(t, outAndHalt(axp.Zero))
+		head := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		tail := []byte{9, 10, 11, 12, 13, 14, 15, 16}
+		im.Segments = []objfile.Segment{
+			im.Segments[0],
+			{Name: ".data", Addr: objfile.DataBase, Data: head, ZeroSize: zs},
+			{Name: ".data", Addr: objfile.DataBase + 8 + zs, Data: tail},
+		}
+		return im
+	}
+	im := build(zeroSize)
+	m, err := New(im, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ReadBytes(objfile.DataBase, 8+zeroSize+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got[8 : 8+zeroSize] {
+		if b != 0 {
+			t.Fatalf("ZeroSize byte %d reads %#x, want 0", i, b)
+		}
+	}
+	if got[0] != 1 || got[7] != 8 || got[8+zeroSize] != 9 || got[len(got)-1] != 16 {
+		t.Errorf("segment bytes misplaced: head %v, tail %v", got[:8], got[8+zeroSize:])
+	}
+
+	allocated := func(im *objfile.Image) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := New(im, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	withTail, without := allocated(im), allocated(build(0))
+	// The arena grows by the tail, rounded to whole pages; anything
+	// proportional to it on top of that is a materialized copy.
+	if extra := withTail - without; extra > zeroSize+pageSize {
+		t.Errorf("New allocated %d more bytes for a %d-byte ZeroSize tail, want at most %d",
+			extra, zeroSize, zeroSize+pageSize)
 	}
 }
