@@ -21,7 +21,7 @@ test:
 
 # The parallel harness, OM's concurrent analysis, the omd service
 # (coalescing, queue, drain), the warm-path caches (stage stores,
-# resident program cache, shared pass-memo snapshots), the telemetry
+# resident program cache, lifted-form cache), the telemetry
 # layer (concurrent span recording, registry snapshots, the flight
 # recorder ring), and the verification engine must stay race-clean.
 race:
@@ -85,13 +85,14 @@ bench-smoke:
 		-benchtime 1x -count 1 . ./internal/objfile
 
 # bench-link runs the link benchmarks — cold decode+merge+link of li and of
-# a progen 4x program, relinks through the resident caches, and the cold
-# front end's object decode and lift — and records them, with allocation
-# counts, as BENCH_link.json. Commit the refreshed file when touching the
-# link pipeline.
+# a progen 4x program, relinks through the resident caches, the cold front
+# end's object decode and lift, and the static check of an OM-full image at
+# 1x and 16x — and records them, with allocation counts, as
+# BENCH_link.json. Commit the refreshed file when touching the link
+# pipeline.
 bench-link:
-	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkLift$$|BenchmarkObjfileRead' \
-		-benchmem -benchtime 2s -count 1 . ./internal/objfile \
+	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
+		-benchmem -benchtime 2s -count 1 . ./internal/objfile ./internal/dataflow \
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
 

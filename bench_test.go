@@ -193,17 +193,10 @@ func BenchmarkFig6Dynamic(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// --- Incremental warm-path benchmarks. Cold is the daemon's worst case —
-// decode every uploaded module, merge, and link from nothing. The warm
-// variants run against resident caches: WarmSameOptions re-submits one
-// (program, options) point, replaying the per-procedure pass memo every
-// iteration; WarmNewOptions alternates between two option sets of the same
-// program, so every timed relink changes the options relative to the link
-// before it — the daemon's steady-state options-change path, served from
-// the resident program, lift store, and both sets' pass memo entries. (The
-// first-ever visit to an option point recomputes its passes over the cached
-// lifted form; the omd warm tests pin that path's zero-re-decode /
-// zero-re-lift behavior via the pipeline counters.)
+// --- Link benchmarks. Cold is the daemon's worst case — decode every
+// uploaded module, merge, and link from nothing. Warm relinks a program the
+// resident program cache and lift store already hold, so it skips decode,
+// merge and lift and pays for the clone, the passes, layout and emission.
 
 // serializeObjects renders each module to the wire bytes a daemon receives.
 func serializeObjects(b *testing.B, objs []*objfile.Object) [][]byte {
@@ -263,13 +256,17 @@ func BenchmarkLinkColdProgen(b *testing.B) {
 	linkCold(b, append(objs, lib...))
 }
 
-// warmLink primes the resident caches with one full link per option set,
-// then times relinks cycling through the sets: one set is the repeated-
-// submission path, several make every timed iteration an options-change
-// relink of a program the caches already hold.
-func warmLink(b *testing.B, memo *om.Memo, optSets ...[]om.Option) {
+// BenchmarkLinkWarm relinks li through the resident program cache and
+// lift store, cycling option sets so no two consecutive relinks share
+// options: the daemon's steady-state relink of a program it has seen.
+func BenchmarkLinkWarm(b *testing.B) {
 	objs := buildObjects(b, "li")
 	pc := buildcache.NewProgramCache(0, nil)
+	memo := om.NewMemo(nil)
+	optSets := [][]om.Option{
+		{om.WithLevel(om.LevelFull)},
+		{om.WithAblation(om.Ablation{NoCommonSort: true})},
+	}
 	run := func(opts []om.Option) {
 		p, _, err := pc.GetOrMerge(objs)
 		if err != nil {
@@ -279,24 +276,11 @@ func warmLink(b *testing.B, memo *om.Memo, optSets ...[]om.Option) {
 			b.Fatal(err)
 		}
 	}
-	for _, opts := range optSets {
-		run(opts)
-	}
+	run(optSets[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(optSets[i%len(optSets)])
 	}
-}
-
-func BenchmarkLinkWarmSameOptions(b *testing.B) {
-	warmLink(b, om.NewMemo(nil),
-		[]om.Option{om.WithLevel(om.LevelFull)})
-}
-
-func BenchmarkLinkWarmNewOptions(b *testing.B) {
-	warmLink(b, om.NewMemo(nil),
-		[]om.Option{om.WithLevel(om.LevelFull)},
-		[]om.Option{om.WithAblation(om.Ablation{NoCommonSort: true})})
 }
 
 // --- Pipeline micro-benchmarks.

@@ -8,9 +8,9 @@
 //	   [-profile file] [-stats] [-trace file] [-check off|static|full]
 //	   [-metrics] [-warmcheck] [-v] file.o...
 //
-// -warmcheck links the program a second time through the per-procedure warm
-// memo and fails unless the replayed image is byte-identical to the first —
-// a command-line probe of the incremental pipeline's core invariant.
+// -warmcheck links the program a second time through the lifted-form cache
+// and fails unless the relink hit the cache and its image is byte-identical
+// to the first — a command-line probe of the warm path's core invariant.
 //
 // -check makes the link prove its output before writing it. static runs the
 // whole-program dataflow analysis over the symbolic program before and
@@ -57,7 +57,7 @@ func main() {
 	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
 	checkFlag := flag.String("check", "off", "prove the output before writing it: off, static (dataflow analysis) or full (static plus translation validation)")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
-	warmcheck := flag.Bool("warmcheck", false, "relink through the warm per-procedure memo and verify the image is byte-identical")
+	warmcheck := flag.Bool("warmcheck", false, "relink through the lifted-form cache and verify the image is byte-identical")
 	verbose := flag.Bool("v", false, "print progress")
 	flag.Parse()
 
@@ -191,9 +191,9 @@ func main() {
 		}
 	}
 	if memo != nil {
-		// The first run populated the memo; a second run over the same
-		// program and options must replay it to a byte-identical image —
-		// the invariant the incremental warm path is built on.
+		// The first run populated the lifted-form cache; a second run over
+		// the same program and options must start from it and still emit a
+		// byte-identical image — the invariant the warm path is built on.
 		warm, err := om.Run(context.Background(), p, opts...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "om: warmcheck relink:", err)
@@ -211,8 +211,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "om: warmcheck: warm relink produced a different image")
 			os.Exit(1)
 		}
-		st := memo.PassStats()
-		logger.Logf("om: warmcheck ok (%d pass-memo hits, image byte-identical)", st.Hits)
+		st := memo.LiftStats()
+		if st.Hits == 0 {
+			fmt.Fprintln(os.Stderr, "om: warmcheck: relink missed the lifted-form cache")
+			os.Exit(1)
+		}
+		logger.Logf("om: warmcheck ok (%d lift-store hits, image byte-identical)", st.Hits)
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, res.Stats)

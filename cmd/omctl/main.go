@@ -17,7 +17,7 @@
 //	omctl top    [-server url] [-n jobs]
 //
 // metrics prints a human-readable summary of the server's queue, build
-// cache, warm-path stage stores (resident program, lift, pass memo) with
+// cache, warm-path stage stores (resident program, lifted form) with
 // hit rates, and phase timers with p50/p90/p99 latencies estimated from the
 // histogram buckets; -json prints the raw snapshot instead.
 // trace renders a job's span tree — one line per span with duration and
@@ -300,10 +300,10 @@ func renderMetrics(snap *omd.MetricsSnapshot) {
 	}
 
 	if procs := snap.Counter("om/lift/procs") + snap.Counter("om/lift/replayed"); procs > 0 {
-		fmt.Printf("om: %d modules decoded; %d procs lifted, %d replayed; %d passed, %d replayed\n",
+		fmt.Printf("om: %d modules decoded; %d procs lifted, %d replayed; %d passed\n",
 			snap.Counter("om/decode/modules"),
 			snap.Counter("om/lift/procs"), snap.Counter("om/lift/replayed"),
-			snap.Counter("om/passes/procs"), snap.Counter("om/passes/replayed"))
+			snap.Counter("om/passes/procs"))
 	}
 
 	for _, e := range snap.Metrics {

@@ -86,8 +86,8 @@ func main() {
 		}
 		ropts = append(ropts, harness.WithCache(cache))
 		// Matrix cells relink the same merged modules under different
-		// options; the resident program cache and the per-procedure OM memo
-		// make every cell after the first a warm relink.
+		// options; the resident program cache and the lifted-form cache
+		// make every cell after the first skip decode, merge and lift.
 		ropts = append(ropts,
 			harness.WithProgramCache(buildcache.NewProgramCache(0, reg)),
 			harness.WithMemo(om.NewMemo(reg)))

@@ -7,10 +7,10 @@ import (
 )
 
 // StageStore is a size-bounded FIFO cache for one stage of the incremental
-// link pipeline (decoded programs, lifted-form snapshots, per-procedure
-// transform results). Entries are opaque to the store; the caller supplies
-// a content-hash key and a size estimate, and the store evicts the oldest
-// entries whenever either the entry count or the byte budget is exceeded.
+// link pipeline (decoded programs, lifted-form snapshots). Entries are
+// opaque to the store; the caller supplies a content-hash key and a size
+// estimate, and the store evicts the oldest entries whenever either the
+// entry count or the byte budget is exceeded.
 //
 // Eviction is strictly FIFO by insertion order — a deliberately simple
 // policy whose correctness is easy to pin in tests: after an eviction the

@@ -137,9 +137,9 @@ type Runner struct {
 	// that link the same modules skip re-decoding and re-merging. Entries
 	// are shared read-only; nil merges fresh every time.
 	Programs *buildcache.ProgramCache
-	// Memo, when non-nil, is the per-procedure OM memo threaded into every
-	// om.Run, letting warm relinks replay lifted procedures and finished
-	// pass results instead of recomputing them.
+	// Memo, when non-nil, is the lifted-form cache threaded into every
+	// om.Run, letting warm relinks start from a cached lifted program
+	// instead of decoding and lifting it again.
 	Memo *om.Memo
 	// Trace collects a decision journal for every OM-linked matrix cell
 	// (Measurement.Journal).
@@ -185,9 +185,9 @@ func WithProgramCache(pc *buildcache.ProgramCache) RunnerOption {
 	return func(r *Runner) { r.Programs = pc }
 }
 
-// WithMemo threads a per-procedure OM memo into every link the runner
-// performs, so warm relinks replay cached lift and pass results; nil
-// disables memoization (the default).
+// WithMemo threads an OM lifted-form cache into every link the runner
+// performs, so warm relinks reuse cached lifted programs; nil disables it
+// (the default).
 func WithMemo(m *om.Memo) RunnerOption {
 	return func(r *Runner) { r.Memo = m }
 }

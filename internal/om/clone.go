@@ -1,11 +1,11 @@
 package om
 
-// cloneProg deep-copies a symbolic program so one lifted (or transformed)
-// form can serve many Runs. The underlying link.Program is shared read-only;
-// everything the passes mutate — procedures, instructions, and their
-// annotation records — is copied, with every intra-program pointer remapped
-// onto the copy. The clone is what makes the warm path sound: a memoized
-// form is never handed to a caller directly, so no Run can corrupt it.
+// cloneProg deep-copies a symbolic program so one lifted form can serve
+// many Runs. The underlying link.Program is shared read-only; everything
+// the passes mutate — procedures, instructions, and their annotation
+// records — is copied, with every intra-program pointer remapped onto the
+// copy. The clone is what makes the warm path sound: a cached lifted form
+// is never handed to a caller directly, so no Run can corrupt it.
 func cloneProg(pg *Prog) *Prog {
 	out := &Prog{
 		P:         pg.P,
@@ -90,8 +90,8 @@ func cloneProg(pg *Prog) *Prog {
 	return out
 }
 
-// progFootprint estimates a symbolic program's resident size for the memo
-// stores' byte bounds: the instruction records dominate, with a flat
+// progFootprint estimates a symbolic program's resident size for the lift
+// store's byte bound: the instruction records dominate, with a flat
 // allowance per instruction for its annotation records.
 func progFootprint(pg *Prog) int64 {
 	var n int64

@@ -11,11 +11,10 @@ import (
 	"repro/internal/objfile"
 )
 
-// Emission is fully read-only on the Prog: label moves, scheduling orders,
-// and final addresses live in pooled scratch (emitScratch) rather than on
-// the instructions. That property is what lets the warm path emit straight
-// from a memoized snapshot that concurrent Runs share — no defensive clone,
-// no races.
+// Emission is fully read-only on the Prog and the Plan: label moves,
+// scheduling orders, and final addresses live in pooled scratch
+// (emitScratch) rather than on the instructions, so emitting never changes
+// what the journal or the checkers see of the program.
 
 // labelPos places one label at an index of its procedure's final
 // instruction list.

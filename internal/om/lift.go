@@ -27,7 +27,7 @@ import (
 
 // SInst is one instruction in OM's symbolic form. Field order packs it
 // into 104 bytes: lift allocates one slab of these per procedure, and every
-// resident lifted or memoized program holds them.
+// resident lifted program holds them.
 type SInst struct {
 	In axp.Inst
 	// Target is the label a branch jumps to, or -1.
@@ -53,9 +53,9 @@ type SInst struct {
 
 	// ord is the instruction's dense program-wide ordinal, assigned by
 	// Prog.renumber. Emit indexes its pooled address scratch with it, which
-	// keeps emission fully read-only on the program — the property that lets
-	// concurrent Runs replay one memoized snapshot without cloning it.
-	// Instructions Emit fabricates itself (alignment padding) carry -1.
+	// keeps emission fully read-only on the program: final addresses live in
+	// the scratch, not on the instructions. Instructions Emit fabricates
+	// itself (alignment padding) carry -1.
 	ord int32
 
 	// Deleted marks instructions removed by OM-full; they are skipped at
@@ -191,9 +191,8 @@ type Prog struct {
 }
 
 // renumber assigns every instruction a dense program-wide ordinal. Run
-// calls it after the last phase that can add instructions and before the
-// program is published to the pass memo, so emission — including concurrent
-// replays of a shared memoized snapshot — only ever reads the ordinals.
+// calls it after the last phase that can add instructions and before
+// emission, which only ever reads the ordinals.
 func (pg *Prog) renumber() {
 	n := int32(0)
 	for _, pr := range pg.Procs {
@@ -349,10 +348,10 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 		pr := &Proc{Mod: m, Sym: s, Name: sym.Name, Exported: sym.Exported}
 		base := sym.Value
 		n := int((sym.End - sym.Value) / 4)
-		// One contiguous slab per procedure, decoded in place: emission
-		// walks the instructions of resident memoized forms on every warm
-		// relink, and the collector rescans them on every cycle, so
-		// locality and object count matter more than in a one-shot link.
+		// One contiguous slab per procedure, decoded in place: a warm relink
+		// clones the resident lifted form instruction by instruction, and
+		// the collector rescans it on every cycle, so locality and object
+		// count matter more than in a one-shot link.
 		pr.Insts = make([]*SInst, n)
 		backing := make([]SInst, n)
 		for i := range backing {

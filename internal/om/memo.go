@@ -2,106 +2,33 @@ package om
 
 import (
 	"context"
-	"encoding/json"
-	"sync"
 
 	"repro/internal/buildcache"
 	"repro/internal/link"
-	"repro/internal/objfile"
 	"repro/internal/obs"
 )
 
-// Memo is the resident cache behind OM's warm path. It holds two stage
-// stores keyed purely by content, so it is safe to share across concurrent
-// Runs and across arbitrary option sets:
-//
-//   - the lifted-form cache maps a program's content hash to its pristine
-//     symbolic form, skipping instruction decode and lifting entirely when
-//     the same modules link again (under any options);
-//   - the per-procedure pass memo maps (procedure bytes, canonical options,
-//     inter-procedural context) to the transformed symbolic form at the pass
-//     fixpoint, skipping analysis and transformation when an identical
-//     (program, options, profile) point links again.
-//
-// The context component of the pass key is deliberately conservative: it
-// hashes the whole program plus the profile, which subsumes everything the
-// passes can observe across procedures (GP window pressure, GAT slot
-// assignment, layout order). A procedure therefore never replays against a
-// stale inter-procedural context — at the cost of a full recompute when any
-// module changes.
+// Memo is the resident lifted-form cache behind OM's warm path. It maps a
+// program's content hash to its pristine symbolic form, so a relink of the
+// same modules (under any options) skips instruction decode and lifting
+// entirely and starts at the passes. Keyed purely by content, it is safe to
+// share across concurrent Runs and arbitrary option sets.
 //
 // A Memo never changes output: a warm Run is byte-identical to a cold one
-// (pinned by the warm-path golden tests). Memoized forms are cloned before
+// (pinned by the warm-path golden tests). Cached forms are cloned before
 // use, never handed out.
 type Memo struct {
-	lifts  *buildcache.StageStore
-	passes *buildcache.StageStore
-
-	// keyMemo caches the derived per-procedure pass keys per context
-	// string, so a resident point's warm lookups stop re-hashing every
-	// procedure's text on each submission. Bounded crudely: a full map is
-	// dropped wholesale and rebuilds on demand.
-	mu      sync.Mutex
-	keyMemo map[string][]string
+	lifts *buildcache.StageStore
 }
 
-// MemoConfig bounds a Memo's stores. Zero values select defaults.
-type MemoConfig struct {
-	// LiftEntries bounds cached lifted programs (<= 0 selects 16).
-	LiftEntries int
-	// PassEntries bounds per-procedure pass memo entries (<= 0 selects 4096).
-	PassEntries int
-	// PassBytes bounds the pass memo's estimated footprint (<= 0: 512 MiB).
-	PassBytes int64
-}
-
-// NewMemo builds a memo with default bounds. reg, when non-nil, receives
-// the stage/lift/* and stage/pass/* hit, miss, and eviction counters.
+// NewMemo builds a memo holding up to 16 lifted programs. reg, when
+// non-nil, receives the stage/lift/* hit, miss, and eviction counters.
 func NewMemo(reg *obs.Registry) *Memo {
-	return NewMemoWithConfig(MemoConfig{}, reg)
+	return &Memo{lifts: buildcache.NewStageStore("lift", 16, 0, reg)}
 }
 
-// NewMemoWithConfig builds a memo with explicit bounds (tests and
-// benchmarks size them down to force eviction).
-func NewMemoWithConfig(cfg MemoConfig, reg *obs.Registry) *Memo {
-	if cfg.LiftEntries <= 0 {
-		cfg.LiftEntries = 16
-	}
-	if cfg.PassEntries <= 0 {
-		cfg.PassEntries = 4096
-	}
-	if cfg.PassBytes <= 0 {
-		cfg.PassBytes = 512 << 20
-	}
-	return &Memo{
-		lifts:   buildcache.NewStageStore("lift", cfg.LiftEntries, 0, reg),
-		passes:  buildcache.NewStageStore("pass", cfg.PassEntries, cfg.PassBytes, reg),
-		keyMemo: make(map[string][]string),
-	}
-}
-
-// passKeysFor returns the per-procedure pass keys for a context, through
-// the key cache. The returned slice is shared and read-only.
-func (m *Memo) passKeysFor(p *link.Program, pctx string) []string {
-	m.mu.Lock()
-	keys, ok := m.keyMemo[pctx]
-	m.mu.Unlock()
-	if ok {
-		return keys
-	}
-	keys = procPassKeys(p, pctx)
-	m.mu.Lock()
-	if len(m.keyMemo) >= 256 {
-		clear(m.keyMemo)
-	}
-	m.keyMemo[pctx] = keys
-	m.mu.Unlock()
-	return keys
-}
-
-// LiftStats and PassStats snapshot the two stage stores.
+// LiftStats snapshots the lifted-form store.
 func (m *Memo) LiftStats() buildcache.StageStats { return m.lifts.Stats() }
-func (m *Memo) PassStats() buildcache.StageStats { return m.passes.Stats() }
 
 // liftEntry is one cached lifted program: the pristine symbolic form plus
 // the options-independent "before" statistics (static counts of the
@@ -112,202 +39,41 @@ type liftEntry struct {
 	before Stats
 }
 
-// passSnapshot is one memoized pass outcome, shared by the pass-memo
-// entries of every procedure of its program: the transformed symbolic form
-// at the pass fixpoint, the computed layout plan, and the completed
-// statistics. The form is stored renumbered and neither it nor the plan is
-// ever cloned for a replay — emission is read-only on both, so any number
-// of concurrent replays share them directly and a replay is plan + emit,
-// nothing else. ctx guards the 64-bit per-procedure keys against
-// collisions: a replay is only valid when the snapshot's context string
-// matches exactly.
-type passSnapshot struct {
-	ctx   string
-	prog  *Prog
-	pl    *Plan
-	stats Stats
-}
-
 // liftFor returns a mutable lifted form of p, through the lifted-form cache:
 // a hit clones the pristine form (no decode, no lift); a miss lifts fresh,
 // stores a pristine clone with its before-statistics, and returns the
-// original. The boolean reports a cache hit.
+// original. The boolean reports a cache hit. The caller sets the returned
+// form's parallelism.
 func (m *Memo) liftFor(ctx context.Context, p *link.Program, par int) (*Prog, *liftEntry, bool, error) {
 	key := "lift/" + p.Hash()
 	if v, ok := m.lifts.Get(key); ok {
 		le := v.(*liftEntry)
-		pg := cloneProg(le.prog)
-		pg.par = par
-		return pg, le, true, nil
+		return cloneProg(le.prog), le, true, nil
 	}
 	pg, err := lift(ctx, p, par)
 	if err != nil {
 		return nil, nil, false, err
 	}
-	pg.par = par
 	le := &liftEntry{prog: cloneProg(pg)}
-	if err := le.fillBefore(p); err != nil {
+	if le.before, err = beforeStats(le.prog, p); err != nil {
 		return nil, nil, false, err
 	}
 	m.lifts.Put(key, le, progFootprint(le.prog))
 	return pg, le, false, nil
 }
 
-// fillBefore computes the options-independent before-statistics from the
-// pristine form: static instruction/annotation counts and the baseline
-// (unreduced, unsorted) GAT footprint.
-func (le *liftEntry) fillBefore(p *link.Program) error {
-	collectBefore(le.prog, &le.before)
+// beforeStats computes the options-independent before-statistics of a
+// pristine lifted form: static instruction/annotation counts and the
+// baseline (unreduced, unsorted) GAT footprint.
+func beforeStats(pg *Prog, p *link.Program) (Stats, error) {
+	var st Stats
+	collectBefore(pg, &st)
 	basePlan, err := link.AssignGATs(p, nil)
 	if err != nil {
-		return err
+		return st, err
 	}
 	for _, slots := range basePlan.Slots {
-		le.before.GATBytesBefore += uint64(len(slots)) * 8
+		st.GATBytesBefore += uint64(len(slots)) * 8
 	}
-	return nil
-}
-
-// passContext derives the shared context component of the pass-memo keys:
-// the program's content hash, the canonical om-options/v1 form of the
-// semantic options (level, schedule, ablation — metrics, parallelism, and
-// the memo itself never change output), and the profile's content hash.
-// ok is false when the option set has no canonical form.
-func passContext(p *link.Program, cfg *config) (string, bool) {
-	cc := config{level: cfg.level, schedule: cfg.schedule, ablation: cfg.ablation}
-	doc, err := json.Marshal(&cc)
-	if err != nil {
-		return "", false
-	}
-	profHash := ""
-	if cfg.profile != nil {
-		profHash = cfg.profile.Hash()
-	}
-	return p.Hash() + "\x00" + string(doc) + "\x00" + profHash, true
-}
-
-// procPassKeys derives one pass-memo key per procedure straight from the
-// merged program — no lift needed, which is what lets a fully warm Run skip
-// the symbolic form entirely. Each key hashes the procedure's identity and
-// text bytes together with the shared context. The hash is 64-bit FNV-1a,
-// computed inline so the per-poll warm lookup allocates nothing beyond the
-// key strings themselves; the snapshot's ctx check makes a collision a
-// forced recompute, not a wrong answer.
-func procPassKeys(p *link.Program, pctx string) []string {
-	var keys []string
-	for m, obj := range p.Objects {
-		text := obj.Sections[objfile.SecText].Data
-		for s := range obj.Symbols {
-			sym := &obj.Symbols[s]
-			if sym.Kind != objfile.SymProc {
-				continue
-			}
-			h := fnvString(fnvOffset64, pctx)
-			h = fnvUint64(h, uint64(m))
-			h = fnvUint64(h, uint64(s))
-			h = fnvBytes(h, text[sym.Value:sym.End])
-			var buf [21]byte
-			b := append(buf[:0], "pass/"...)
-			for shift := 60; shift >= 0; shift -= 4 {
-				b = append(b, "0123456789abcdef"[(h>>shift)&0xf])
-			}
-			keys = append(keys, string(b))
-		}
-	}
-	return keys
-}
-
-// Inline FNV-1a, avoiding hash.Hash's per-call allocation on a warm path
-// that runs once per submission.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return h
-}
-
-func fnvUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-// lookupPasses returns the snapshot to replay when every procedure's entry
-// is present, agrees on one snapshot, and that snapshot was stored under
-// exactly this context. Any miss — an evicted procedure, a foreign context,
-// a key collision — returns nil and the caller recomputes.
-func (m *Memo) lookupPasses(keys []string, pctx string) *passSnapshot {
-	if len(keys) == 0 {
-		return nil
-	}
-	var snap *passSnapshot
-	for _, k := range keys {
-		v, ok := m.passes.Get(k)
-		if !ok {
-			return nil
-		}
-		s := v.(*passSnapshot)
-		if s.ctx != pctx {
-			return nil
-		}
-		if snap == nil {
-			snap = s
-		} else if snap != s {
-			return nil
-		}
-	}
-	return snap
-}
-
-// storePasses records a completed pass outcome under every procedure's key.
-// The snapshot is shared; its footprint is spread across the entries so the
-// store's byte bound sees the real cost once.
-func (m *Memo) storePasses(keys []string, snap *passSnapshot) {
-	if len(keys) == 0 {
-		return
-	}
-	per := progFootprint(snap.prog)/int64(len(keys)) + 1
-	for _, k := range keys {
-		m.passes.Put(k, snap, per)
-	}
-}
-
-// replayRun is the fully warm path: emit straight from the shared
-// transformed form under the shared memoized plan — emission never writes
-// to either, so no clone of anything is taken. It performs zero
-// instruction decodes, zero lifts, zero analysis passes, and zero layout
-// recomputation; the result is byte-identical to the cold Run that stored
-// the snapshot.
-func replayRun(ctx context.Context, snap *passSnapshot, cfg *config) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pg, pl := snap.prog, snap.pl
-	cfg.metrics.Counter("om/passes/replayed").Add(uint64(len(pg.Procs)))
-	stats := snap.stats
-	sched := cfg.schedule && cfg.level == LevelFull
-	emitSpan := cfg.span.Child("om/emit")
-	emitSpan.SetAttr("replayed", "true")
-	emitDone := obs.StartSpan(cfg.metrics.Timer("om/emit"))
-	im, err := Emit(pg, pl, sched)
-	emitDone()
-	emitSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Image: im, Stats: &stats}, nil
+	return st, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/buildcache"
 	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/tcc"
@@ -32,12 +33,11 @@ func goldenMatrix() []matrixPoint {
 	}
 }
 
-// TestWarmRunByteIdenticalMatrix is the tentpole invariant: for every
-// (options, profile) point of the golden matrix, a warm incremental Run —
-// lifted-form replay on first sight of the options, full pass-memo replay
-// on second sight — produces a byte-identical image to a cold memo-less
-// Run. The sweep runs twice so every point is exercised both while the memo
-// is filling and after unrelated points have interleaved.
+// TestWarmRunByteIdenticalMatrix is the warm path's invariant: for every
+// (options, profile) point of the golden matrix, a Run that starts from the
+// cached lifted form produces a byte-identical image to a cold memo-less
+// Run. The sweep runs twice so every point is exercised both right after
+// the first lift and after unrelated points have interleaved.
 func TestWarmRunByteIdenticalMatrix(t *testing.T) {
 	prof := collectProfile(t)
 	memo := NewMemo(nil)
@@ -75,16 +75,14 @@ func TestWarmRunByteIdenticalMatrix(t *testing.T) {
 			}
 		}
 	}
-	if st := memo.PassStats(); st.Hits == 0 {
-		t.Error("second sweep never hit the pass memo")
-	}
-	if st := memo.LiftStats(); st.Hits == 0 {
-		t.Error("matrix never hit the lifted-form cache")
+	// One program: the first warm Run lifts it, every later one clones it.
+	if st, want := memo.LiftStats(), uint64(2*len(goldenMatrix())-1); st.Hits != want || st.Misses != 1 {
+		t.Errorf("lift store: %d hits / %d misses, want %d / 1", st.Hits, st.Misses, want)
 	}
 }
 
-// TestWarmStatsMatchCold: the statistics replayed from the pass memo equal
-// the cold run's, field for field.
+// TestWarmStatsMatchCold: a warm run's statistics, whose before-half comes
+// from the lifted-form cache, equal the cold run's, field for field.
 func TestWarmStatsMatchCold(t *testing.T) {
 	ctx := context.Background()
 	coldRes, err := Run(ctx, freshProgram(t), WithLevel(LevelFull), WithSchedule(true))
@@ -103,11 +101,10 @@ func TestWarmStatsMatchCold(t *testing.T) {
 	}
 }
 
-// TestWarmRunSkipsDecodeLiftAndPasses proves the acceptance criterion with
-// the obs counters: a warm same-options relink performs zero module
-// decodes, zero procedure lifts, and zero per-procedure pass computations;
-// a warm options-only relink performs zero decodes and zero lifts, and
-// recomputes only the passes.
+// TestWarmRunSkipsDecodeLiftAndPasses proves the warm path's skip claims
+// with the obs counters: a warm relink, under the same options or new ones,
+// performs zero module decodes and zero procedure lifts, replays every
+// lifted procedure from the cache, and runs the passes over all of them.
 func TestWarmRunSkipsDecodeLiftAndPasses(t *testing.T) {
 	ctx := context.Background()
 	memo := NewMemo(nil)
@@ -120,8 +117,7 @@ func TestWarmRunSkipsDecodeLiftAndPasses(t *testing.T) {
 		}
 		out := map[string]uint64{}
 		for _, name := range []string{
-			"om/decode/modules", "om/lift/procs", "om/lift/replayed",
-			"om/passes/procs", "om/passes/replayed",
+			"om/decode/modules", "om/lift/procs", "om/lift/replayed", "om/passes/procs",
 		} {
 			out[name] = reg.Counter(name).Value()
 		}
@@ -133,32 +129,29 @@ func TestWarmRunSkipsDecodeLiftAndPasses(t *testing.T) {
 		t.Fatalf("cold run did no work: %v", cold)
 	}
 
-	warmSame := counters(WithLevel(LevelFull))
-	if warmSame["om/decode/modules"] != 0 || warmSame["om/lift/procs"] != 0 || warmSame["om/passes/procs"] != 0 {
-		t.Errorf("warm same-options relink redid work: %v", warmSame)
-	}
-	if warmSame["om/passes/replayed"] != cold["om/passes/procs"] {
-		t.Errorf("warm same-options relink replayed %d of %d procedures",
-			warmSame["om/passes/replayed"], cold["om/passes/procs"])
-	}
-
-	warmNew := counters(WithLevel(LevelFull), WithSchedule(true))
-	if warmNew["om/decode/modules"] != 0 || warmNew["om/lift/procs"] != 0 {
-		t.Errorf("warm options-only relink re-decoded or re-lifted: %v", warmNew)
-	}
-	if warmNew["om/lift/replayed"] != cold["om/lift/procs"] {
-		t.Errorf("warm options-only relink replayed %d of %d lifted procedures",
-			warmNew["om/lift/replayed"], cold["om/lift/procs"])
-	}
-	if warmNew["om/passes/procs"] == 0 {
-		t.Error("options change must recompute the passes")
+	for name, opts := range map[string][]Option{
+		"same-options": {WithLevel(LevelFull)},
+		"new-options":  {WithLevel(LevelFull), WithSchedule(true)},
+	} {
+		warm := counters(opts...)
+		if warm["om/decode/modules"] != 0 || warm["om/lift/procs"] != 0 {
+			t.Errorf("warm %s relink re-decoded or re-lifted: %v", name, warm)
+		}
+		if warm["om/lift/replayed"] != cold["om/lift/procs"] {
+			t.Errorf("warm %s relink replayed %d of %d lifted procedures",
+				name, warm["om/lift/replayed"], cold["om/lift/procs"])
+		}
+		if warm["om/passes/procs"] != cold["om/passes/procs"] {
+			t.Errorf("warm %s relink passed %d of %d procedures",
+				name, warm["om/passes/procs"], cold["om/passes/procs"])
+		}
 	}
 }
 
-// TestMemoEvictionNeverStale: with the stores sized far below the working
-// set, every lookup pattern — partial eviction, full eviction, interleaved
-// programs — must fall back to recompute, never serve a stale or foreign
-// snapshot. Byte-identity against memo-less runs is the oracle.
+// TestMemoEvictionNeverStale: with the lift store sized below the working
+// set, interleaved programs evict each other on every Run, and each must
+// fall back to a fresh lift, never serve a stale or foreign form.
+// Byte-identity against memo-less runs is the oracle.
 func TestMemoEvictionNeverStale(t *testing.T) {
 	ctx := context.Background()
 	progA := func(t *testing.T) *link.Program { return freshProgram(t) }
@@ -184,8 +177,8 @@ long main() {
 		}
 	}
 
-	// Small bounds: one lifted program, fewer pass entries than procedures.
-	memo := NewMemoWithConfig(MemoConfig{LiftEntries: 1, PassEntries: 5}, nil)
+	// Room for one lifted program of the two.
+	memo := &Memo{lifts: buildcache.NewStageStore("lift", 1, 0, nil)}
 	for round := 0; round < 3; round++ {
 		for name, mk := range map[string]func(*testing.T) *link.Program{"a": progA, "b": progB} {
 			for _, sched := range []bool{false, true} {
@@ -200,23 +193,19 @@ long main() {
 			}
 		}
 	}
-	if st := memo.PassStats(); st.Evictions == 0 {
-		t.Error("undersized pass store never evicted; the test exercised nothing")
-	}
-	if st := memo.LiftStats(); st.Evictions == 0 {
-		t.Error("undersized lift store never evicted")
+	if st := memo.LiftStats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Errorf("undersized lift store: %d hits, %d evictions; want both > 0", st.Hits, st.Evictions)
 	}
 }
 
-// TestMemoTraceAndInstrumentBypass: traced runs recompute their journal
-// every time (never replay it away), and instrumentation runs still work
-// with a memo attached — both reuse the lifted form only.
+// TestMemoTraceAndInstrumentBypass: traced runs rebuild their journal
+// every time from the cached lifted form, and instrumentation runs still
+// work with a memo attached.
 func TestMemoTraceAndInstrumentBypass(t *testing.T) {
 	ctx := context.Background()
 	memo := NewMemo(nil)
 
-	// Prime the pass memo for the same options, so a buggy replay would
-	// swallow the journal.
+	// Prime the lift store with an untraced run of the same options.
 	if _, err := Run(ctx, freshProgram(t), WithLevel(LevelFull), WithMemo(memo)); err != nil {
 		t.Fatal(err)
 	}
@@ -310,48 +299,51 @@ func TestCloneProgIsolation(t *testing.T) {
 	}
 }
 
-// TestWarmReplayAllocsConstant pins the warm replay's allocation profile:
-// once a (program, options) point is resident, a Run allocates a small
-// constant number of objects — the emitted image and a fixed amount of
-// bookkeeping — independent of how large the program is. The emit scratch
-// (final-instruction slices, label slices, the address table) is pooled,
-// so growing the program must not grow the allocation count.
-func TestWarmReplayAllocsConstant(t *testing.T) {
+// TestEmitAllocsConstant pins emission's allocation profile: given a
+// prepared program and plan, Emit allocates a small constant number of
+// objects — the image and a fixed amount of bookkeeping — independent of
+// how large the program is. The emit scratch (final-instruction slices,
+// label positions, the scheduler, the address table) is pooled, so growing
+// the program must not grow the allocation count.
+func TestEmitAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector randomizes sync.Pool reuse; allocation counts are not meaningful")
 	}
 	ctx := context.Background()
-	probe := func(src string) float64 {
-		p := buildProgram(t, []tcc.Source{{Name: "prog", Text: src}})
-		memo := NewMemo(nil)
-		opts := []Option{WithLevel(LevelFull), WithMemo(memo)}
-		// First Run stores the snapshot, second settles the pools.
-		for i := 0; i < 2; i++ {
-			if _, err := Run(ctx, p, opts...); err != nil {
+	probe := func(src string, sched bool) float64 {
+		pg, err := lift(ctx, buildProgram(t, []tcc.Source{{Name: "prog", Text: src}}), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := runFull(ctx, pg, Ablation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.renumber()
+		emit := func() {
+			if _, err := Emit(pg, pl, sched); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(50, func() {
-			if _, err := Run(ctx, p, opts...); err != nil {
-				t.Fatal(err)
-			}
-		})
+		emit() // settle the pools
+		return testing.AllocsPerRun(50, emit)
 	}
 
-	small := probe("long main() { return 0; }\n")
 	var big strings.Builder
 	big.WriteString("long main() {\n\tlong i;\n\ti = 0;\n")
 	for i := 0; i < 2000; i++ {
 		big.WriteString("\ti = i + 1;\n")
 	}
 	big.WriteString("\treturn 0;\n}\n")
-	bigAllocs := probe(big.String())
-
-	if small > 120 {
-		t.Errorf("warm replay allocates %.0f objects, want a small constant", small)
-	}
-	if diff := bigAllocs - small; diff > 16 || diff < -16 {
-		t.Errorf("warm replay allocations scale with program size: %.0f (small) vs %.0f (big)",
-			small, bigAllocs)
+	for _, sched := range []bool{false, true} {
+		small := probe("long main() { return 0; }\n", sched)
+		bigAllocs := probe(big.String(), sched)
+		if small > 32 {
+			t.Errorf("sched=%v: Emit allocates %.0f objects, want a small constant", sched, small)
+		}
+		if diff := bigAllocs - small; diff > 2 || diff < -2 {
+			t.Errorf("sched=%v: Emit allocations scale with program size: %.0f (small) vs %.0f (big)",
+				sched, small, bigAllocs)
+		}
 	}
 }

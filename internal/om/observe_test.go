@@ -66,10 +66,10 @@ func TestProgObserverError(t *testing.T) {
 	}
 }
 
-// TestProgObserverBypassesMemo verifies an observed run never replays from
-// the pass memo (a replay would skip the passes the observer wants to
-// watch) and never pollutes it for later unobserved runs.
-func TestProgObserverBypassesMemo(t *testing.T) {
+// TestProgObserverWarmLiftStore verifies an observer under a warm lift
+// store still fires at both stages: starting from the cached lifted form
+// skips decode and lift, never the stages the observer watches.
+func TestProgObserverWarmLiftStore(t *testing.T) {
 	memo := NewMemo(nil)
 
 	// Warm the memo with an unobserved run.
@@ -78,7 +78,7 @@ func TestProgObserverBypassesMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The observed run must still fire both stages even with a warm memo.
+	// The observed run must still fire both stages from the cached form.
 	p = buildProgram(t, []tcc.Source{{Name: "main", Text: testProgram}})
 	fired := 0
 	if _, err := Run(context.Background(), p, WithLevel(LevelFull), WithMemo(memo),
@@ -89,6 +89,9 @@ func TestProgObserverBypassesMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fired != 2 {
-		t.Fatalf("observer fired %d times under a warm memo, want 2", fired)
+		t.Fatalf("observer fired %d times under a warm lift store, want 2", fired)
+	}
+	if st := memo.LiftStats(); st.Hits != 1 {
+		t.Fatalf("observed run: %d lift-store hits, want 1", st.Hits)
 	}
 }

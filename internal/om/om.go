@@ -65,21 +65,20 @@ func WithTrace() Option { return func(c *config) { c.trace = true } }
 // om/emit) into the registry. A nil registry disables recording.
 func WithMetrics(m *obs.Registry) Option { return func(c *config) { c.metrics = m } }
 
-// WithSpan nests per-phase child spans (om/memo-lookup, om/lift, om/passes,
-// om/layout, om/emit) under sp, marking the run's position in a caller's
-// trace — the per-job dimension the aggregate WithMetrics timers lack. Like
-// WithMetrics it is an execution detail excluded from a job's serialized
-// identity, and a nil span disables tracing at zero cost (the nil-span fast
-// path allocates nothing, pinned by the warm-replay allocation test).
+// WithSpan nests per-phase child spans (om/lift, om/passes, om/layout,
+// om/emit) under sp, marking the run's position in a caller's trace — the
+// per-job dimension the aggregate WithMetrics timers lack. Like WithMetrics
+// it is an execution detail excluded from a job's serialized identity, and
+// a nil span disables tracing at zero cost (Span.Child on nil allocates
+// nothing).
 func WithSpan(sp *obs.Span) Option { return func(c *config) { c.span = sp } }
 
-// WithMemo attaches a resident memo (NewMemo) to the Run: lifted symbolic
-// forms and per-procedure pass outcomes are reused across every Run sharing
-// the memo. The memo never changes output — a warm Run is byte-identical to
-// a cold one — and, like WithParallelism, it is an execution detail excluded
-// from a job's serialized identity. Traced and instrumentation runs bypass
-// the pass memo (journals and block tables must be recomputed) but still
-// reuse lifted forms.
+// WithMemo attaches a resident lifted-form cache (NewMemo) to the Run: a
+// program already lifted by any Run sharing the memo is cloned from it
+// instead of decoded and lifted again; the passes, layout and emission
+// always run. The memo never changes output — a warm Run is byte-identical
+// to a cold one — and, like WithParallelism, it is an execution detail
+// excluded from a job's serialized identity.
 func WithMemo(m *Memo) Option { return func(c *config) { c.memo = m } }
 
 // WithProfile enables profile-guided code layout: after the optimization
@@ -109,8 +108,7 @@ const (
 // a fresh unoptimized plan) and again at StageOptimized (under the final
 // plan) — the two snapshots the static check level analyzes. The observer
 // must treat the program and plan as read-only; an error aborts the Run.
-// Observed runs bypass the pass memo's warm path so the observer sees the
-// real pipeline, never a replay, and instrumentation runs ignore the option.
+// Instrumentation runs ignore the option.
 func WithProgObserver(fn func(ProgStage, *Prog, *Plan) error) Option {
 	return func(c *config) { c.observer = fn }
 }
@@ -140,30 +138,6 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 	}
 	if cfg.parallelism <= 0 {
 		cfg.parallelism = runtime.GOMAXPROCS(0)
-	}
-
-	// Fully warm path: when an untraced, uninstrumented Run's (program,
-	// options, profile) point has a complete per-procedure pass memo, skip
-	// decode, lift, and every analysis pass — clone the memoized transformed
-	// form, recompute the final plan, and emit.
-	var passKeys []string
-	var passCtx string
-	if cfg.memo != nil && !cfg.trace && !cfg.instrument && cfg.observer == nil {
-		lookupSpan := cfg.span.Child("om/memo-lookup")
-		if pctx, ok := passContext(p, &cfg); ok {
-			passCtx = pctx
-			passKeys = cfg.memo.passKeysFor(p, pctx)
-			if snap := cfg.memo.lookupPasses(passKeys, pctx); snap != nil {
-				lookupSpan.SetAttr("hit", "true")
-				lookupSpan.End()
-				if res, err := replayRun(ctx, snap, &cfg); err == nil {
-					return res, nil
-				}
-				// A failed replay falls through to the cold path, which
-				// reports any genuine error itself.
-			}
-		}
-		lookupSpan.End()
 	}
 
 	var (
@@ -210,20 +184,13 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		return &Result{Image: im, Blocks: blocks}, nil
 	}
 
+	// The before-statistics depend only on program content; the lifted-form
+	// cache computed them once for its entry.
 	stats := &Stats{}
 	if le != nil {
-		// The before-statistics depend only on program content; the lifted-
-		// form cache computed them once for this entry.
 		*stats = le.before
-	} else {
-		collectBefore(pg, stats)
-		basePlan, err := link.AssignGATs(p, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, slots := range basePlan.Slots {
-			stats.GATBytesBefore += uint64(len(slots)) * 8
-		}
+	} else if *stats, err = beforeStats(pg, p); err != nil {
+		return nil, err
 	}
 
 	if cfg.observer != nil {
@@ -283,18 +250,10 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		}
 	}
 
-	// Renumber before publication and emission: the ordinals index Emit's
-	// address scratch, and once the program reaches the pass memo concurrent
-	// replays read them, so no later phase may write to the program.
+	// Renumber after the last phase that adds instructions: the ordinals
+	// index Emit's address scratch, which keeps emission read-only on the
+	// program.
 	pg.renumber()
-	if passKeys != nil {
-		// The program and plan themselves are the snapshot — emission is
-		// read-only on both, so the pass-fixpoint form needs no defensive
-		// clone and replays skip even the layout computation.
-		cfg.memo.storePasses(passKeys, &passSnapshot{
-			ctx: passCtx, prog: pg, pl: pl, stats: *stats,
-		})
-	}
 
 	var journal *obs.JournalDoc
 	if cfg.trace {

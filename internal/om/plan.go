@@ -21,8 +21,8 @@ type planOpts struct {
 // addresses are final; text addresses are estimates that emission
 // recomputes into its own scratch (alignment padding may shift
 // procedures), which is safe because no GP-relative displacement depends
-// on a text address. A computed plan is read-only thereafter, so one plan
-// can serve the pass memo and any number of concurrent replay emissions.
+// on a text address. A computed plan is read-only thereafter: emission,
+// the journal and the static checkers only read it.
 type Plan struct {
 	pg   *Prog
 	opts planOpts

@@ -157,7 +157,7 @@ type Server struct {
 
 	// The resident warm-path stores, shared by every job the server runs:
 	// progCache holds merged decoded programs keyed on program inputs;
-	// omMemo holds OM's lifted forms and per-procedure pass outcomes. Both
+	// omMemo holds OM's lifted forms keyed on program content. Both
 	// are content-addressed, so no eviction or invalidation coordination
 	// with jobs is needed, and both report stage/* counters to /metrics.
 	progCache *buildcache.ProgramCache
@@ -566,12 +566,13 @@ func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) 
 }
 
 // execute runs one link job end to end, warmest path first: a cached image
-// needs nothing resolved at all; a resident decoded program skips compile,
-// upload decode, and merge; and om.Run itself runs against the server's
-// memo, so an options-only relink of a resident program re-lifts and
-// re-analyzes nothing that the option change did not invalidate. A traced
-// or checked job bypasses the image cache — neither a journal nor the
-// symbolic program can be reproduced from a cached image.
+// (keyed on program, options and profile, so a repeat that differs only in
+// simulation finds it) needs nothing resolved at all; a resident decoded
+// program skips compile, upload decode, and merge; and om.Run itself runs
+// against the server's lifted-form cache, so a relink of a resident program
+// re-decodes and re-lifts nothing and runs only the passes, layout and
+// emission. A traced or checked job bypasses the image cache — neither a
+// journal nor the symbolic program can be reproduced from a cached image.
 //
 // sp is the execution span on the lead job's trace; every stage becomes a
 // child, so the span tree mirrors the warm-path short-circuits (a cached
@@ -591,9 +592,15 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	if shadow {
 		chk.Level = verify.CheckFull
 	}
-	if !rs.traced && chk.Level == verify.CheckOff {
+	// Untraced, unchecked jobs read and write the image cache; a shadow-
+	// checked one only writes it.
+	imageKey := ""
+	if !rs.traced && rs.check == verify.CheckOff {
+		imageKey = rs.imageKey()
+	}
+	if imageKey != "" && !shadow {
 		ics := sp.Child("image-cache")
-		im, ok := s.cache.GetImage(rs.key)
+		im, ok := s.cache.GetImage(imageKey)
 		ics.SetAttr("hit", strconv.FormatBool(ok))
 		ics.End()
 		if ok {
@@ -649,8 +656,8 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 			return nil, err
 		}
 	}
-	if !rs.traced && rs.check == verify.CheckOff {
-		if err := s.cache.PutImage(rs.key, omres.Image); err != nil {
+	if imageKey != "" {
+		if err := s.cache.PutImage(imageKey, omres.Image); err != nil {
 			return nil, err
 		}
 	}

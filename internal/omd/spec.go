@@ -11,9 +11,10 @@
 // document for profile-guided layout, the check level the link must pass,
 // and an optional simulation of the linked image. The spec maps one-to-one
 // onto om.Run options, so a remote job and a local cmd/om invocation of the
-// same inputs produce byte-identical images; the server's coalescing key is
-// a content hash over everything that determines the result, shared with
-// the build cache's image store.
+// same inputs produce byte-identical images. The server's coalescing key is
+// a content hash over everything that determines the result; the build
+// cache's image store is keyed on the narrower set that determines the
+// image (program, options, profile).
 package omd
 
 import (
@@ -22,6 +23,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"time"
 
 	"repro/internal/buildcache"
@@ -197,11 +199,38 @@ func (r *resolved) variant() string {
 		r.canonOpt, r.spec.NoStdlib, r.spec.Simulate, r.spec.MaxInstructions, r.check)
 }
 
-func (r *resolved) computeKey() error {
-	profHash := ""
-	if r.prof != nil {
-		profHash = r.prof.Hash()
+// profileHash is the profile's content hash, or "" without a profile.
+func (r *resolved) profileHash() string {
+	if r.prof == nil {
+		return ""
 	}
+	return r.prof.Hash()
+}
+
+// imageKey is the image's identity in the build cache: the program
+// (progKey), the canonical option form and the profile's content hash.
+// Unlike the coalescing key it leaves out simulation, the instruction cap
+// and the check level, which change a job's result but never its image.
+// Execution computes it, so a memo-hit submission never pays for it.
+func (r *resolved) imageKey() string {
+	h := sha256.New()
+	writeStr(h, SpecVersion+"/image")
+	writeStr(h, r.progKey)
+	writeStr(h, string(r.canonOpt))
+	writeStr(h, r.profileHash())
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// writeStr feeds a length-prefixed string to a key hash.
+func writeStr(h hash.Hash, s string) {
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+	h.Write(n[:])
+	h.Write([]byte(s))
+}
+
+func (r *resolved) computeKey() error {
+	profHash := r.profileHash()
 	if r.spec.Benchmark == "" {
 		// The raw uploaded bytes are the objfile serialization, so this key
 		// equals the decoded-object ImageKey without parsing anything.
@@ -213,38 +242,26 @@ func (r *resolved) computeKey() error {
 	// the key stays content-addressed across daemon versions that ship
 	// different generated suites.
 	h := sha256.New()
-	writeStr := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	writeStr(SpecVersion + "/bench")
-	writeStr(r.bench.Name)
-	writeStr(fmt.Sprint(r.eachMode))
+	writeStr(h, SpecVersion+"/bench")
+	writeStr(h, r.bench.Name)
+	writeStr(h, fmt.Sprint(r.eachMode))
 	for _, m := range r.bench.Modules {
-		writeStr(m.Name)
-		writeStr(m.Text)
+		writeStr(h, m.Name)
+		writeStr(h, m.Text)
 	}
-	writeStr(r.variant())
-	writeStr(profHash)
+	writeStr(h, r.variant())
+	writeStr(h, profHash)
 	r.key = fmt.Sprintf("%x", h.Sum(nil))
 
 	hp := sha256.New()
-	writeStrTo := func(h interface{ Write([]byte) (int, error) }, s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	writeStrTo(hp, SpecVersion+"/program/bench")
-	writeStrTo(hp, r.bench.Name)
-	writeStrTo(hp, fmt.Sprint(r.eachMode))
+	writeStr(hp, SpecVersion+"/program/bench")
+	writeStr(hp, r.bench.Name)
+	writeStr(hp, fmt.Sprint(r.eachMode))
 	for _, m := range r.bench.Modules {
-		writeStrTo(hp, m.Name)
-		writeStrTo(hp, m.Text)
+		writeStr(hp, m.Name)
+		writeStr(hp, m.Text)
 	}
-	writeStrTo(hp, fmt.Sprint(r.spec.NoStdlib))
+	writeStr(hp, fmt.Sprint(r.spec.NoStdlib))
 	r.progKey = fmt.Sprintf("%x", hp.Sum(nil))
 	return nil
 }

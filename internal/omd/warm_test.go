@@ -79,6 +79,54 @@ func TestWarmRelinkSkipsDecodeAndLift(t *testing.T) {
 	}
 }
 
+// TestImageCacheIgnoresSimulate: the image cache is keyed on what
+// determines the image (program, options, profile), not on the simulation
+// request. Linking an upload and then submitting it again with simulate on
+// is a new job key, yet it must be served from the cached image: no om run,
+// with the simulator's statistics present.
+func TestImageCacheIgnoresSimulate(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	c := startHTTP(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	obj := uploadObject(t, "sum", "long main() { long i; long s; s = 0; for (i = 0; i < 10; i = i + 1) s = s + i; return s; }\n")
+	var sts []*omd.JobStatus
+	for _, simulate := range []bool{false, true} {
+		st, err := c.SubmitWait(ctx, &omd.JobSpec{
+			Version: omd.SpecVersion, Objects: [][]byte{obj}, Simulate: simulate,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != omd.JobDone {
+			t.Fatalf("simulate=%v: state %s (%s)", simulate, st.State, st.Error)
+		}
+		sts = append(sts, st)
+	}
+	first, second := sts[0], sts[1]
+	if first.ImageCacheHit || first.Sim != nil {
+		t.Fatalf("first job: image-cache hit %v, sim %v; want a fresh unsimulated link",
+			first.ImageCacheHit, first.Sim)
+	}
+	if second.Key == first.Key || second.MemoHit || second.Coalesced {
+		t.Fatal("simulate must change the job key and execute")
+	}
+	if !second.ImageCacheHit {
+		t.Fatal("simulated resubmission missed the image cache")
+	}
+	if second.Sim == nil || second.Sim.Instructions == 0 {
+		t.Fatalf("simulated resubmission carries no sim stats: %+v", second.Sim)
+	}
+	doc, err := c.Trace(ctx, second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Find("om") != nil {
+		t.Errorf("image-cache-served job ran om:\n%s", doc.Render())
+	}
+}
+
 // TestConcurrentMixedOptionsRaceClean: 50 clients submit 10 distinct
 // (benchmark, options) jobs concurrently, so several workers link through
 // the shared program cache and OM memo at once — the -race gate's probe of
