@@ -133,6 +133,8 @@ pgo-smoke:
 # omd-smoke proves the link service's exactly-one-execution property under
 # load: an in-process daemon takes many concurrent identical submissions
 # and must collapse them to a single link with byte-identical responses.
+# It then uploads a program's objects as multipart parts and requires the
+# served image to equal a local link of the same modules.
 omd-smoke:
 	$(GO) run ./cmd/omd -loadsmoke -smoke-clients 32
 
@@ -153,6 +155,7 @@ verify-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLink$$' -fuzztime 10s ./internal/link
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalOptions$$' -fuzztime 10s ./internal/om
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileRead$$' -fuzztime 10s ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s ./internal/omd
 
 # verify is the tier-1 gate: everything CI runs.
 verify: build vet test race fmt-check lint lint-smoke bench-smoke linkbench-smoke trace-smoke pgo-smoke omd-smoke verify-smoke

@@ -1,5 +1,5 @@
 // Command omd runs the link-time optimization service: a resident daemon
-// that accepts omd-job/v2 link jobs over HTTP/JSON, executes them on a
+// that accepts omd-job/v3 link jobs over HTTP, executes them on a
 // bounded worker pool behind an explicit admission queue, coalesces
 // identical in-flight requests into one execution, and keeps the build
 // cache warm across requests.
@@ -28,7 +28,9 @@
 // in-process server, fires many concurrent identical submissions at it, and
 // exits nonzero unless the batch collapsed to exactly one execution with
 // every client receiving identical bytes and the executed job's trace
-// carrying every lifecycle span.
+// carrying every lifecycle span. It then uploads a benchmark's compiled
+// modules as object parts and requires the served image to equal a local
+// link of the same modules.
 package main
 
 import (
@@ -47,9 +49,15 @@ import (
 	"time"
 
 	"repro/internal/buildcache"
+	"repro/internal/link"
+	"repro/internal/objfile"
 	"repro/internal/obs"
+	"repro/internal/om"
 	"repro/internal/omd"
 	"repro/internal/omd/client"
+	"repro/internal/rtlib"
+	benchspec "repro/internal/spec"
+	"repro/internal/tcc"
 )
 
 type stderrLogger struct{}
@@ -201,6 +209,64 @@ func runLoadSmoke(srv *omd.Server, n int) error {
 	}
 	fmt.Fprintf(os.Stderr, "omd: loadsmoke: %d clients -> 1 execution (%d coalesced/memo) in %v, image %d bytes\n",
 		n, coalesced, time.Since(start), len(images[0]))
+	return checkUpload(ctx, c, "li")
+}
+
+// checkUpload compiles a benchmark's modules, submits their objfile bytes
+// as an upload, and requires the served image to equal a local link of the
+// same modules under the same (default) options.
+func checkUpload(ctx context.Context, c *client.Client, bench string) error {
+	b, ok := benchspec.ByName(bench)
+	if !ok {
+		return fmt.Errorf("upload check: no benchmark %q", bench)
+	}
+	spec := &omd.JobSpec{Version: omd.SpecVersion}
+	var objs []*objfile.Object
+	for _, m := range b.Modules {
+		obj, err := tcc.Compile(m.Name, []tcc.Source{m}, tcc.DefaultOptions())
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		if err := obj.Write(&buf); err != nil {
+			return err
+		}
+		objs, spec.Objects = append(objs, obj), append(spec.Objects, buf.Bytes())
+	}
+	lib, err := rtlib.StandardObjects()
+	if err != nil {
+		return err
+	}
+	p, err := link.Merge(append(objs, lib...))
+	if err != nil {
+		return err
+	}
+	res, err := om.Run(ctx, p)
+	if err != nil {
+		return err
+	}
+	var local bytes.Buffer
+	if err := res.Image.Write(&local); err != nil {
+		return err
+	}
+
+	st, err := c.SubmitWait(ctx, spec)
+	if err != nil {
+		return fmt.Errorf("upload check: %w", err)
+	}
+	if st.State != omd.JobDone {
+		return fmt.Errorf("upload check: job %s: state %s (%s)", st.ID, st.State, st.Error)
+	}
+	served, err := c.Image(ctx, st.ID)
+	if err != nil {
+		return fmt.Errorf("upload check: %w", err)
+	}
+	if !bytes.Equal(served, local.Bytes()) {
+		return fmt.Errorf("upload check: served image of %d uploaded %s modules differs from a local link (%d vs %d bytes)",
+			len(spec.Objects), bench, len(served), local.Len())
+	}
+	fmt.Fprintf(os.Stderr, "omd: loadsmoke: %d uploaded %s modules -> image identical to a local link (%d bytes)\n",
+		len(spec.Objects), bench, len(served))
 	return nil
 }
 

@@ -254,31 +254,6 @@ func ImageKey(objs []*objfile.Object, variant, profileHash string) (string, erro
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }
 
-// RawImageKey is ImageKey over already-serialized modules: identical framing
-// and result for bytes produced by Object.Write, with no decode required.
-// It lets a daemon key a job on raw uploads without parsing them.
-func RawImageKey(raw [][]byte, variant, profileHash string) string {
-	h := sha256.New()
-	writeStr := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	writeStr(keyVersion + "/image")
-	writeStr(variant)
-	writeStr(profileHash)
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(raw)))
-	h.Write(n[:])
-	for _, data := range raw {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
-		h.Write(n[:])
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // GetImage returns a freshly decoded linked image for the key, if cached.
 func (c *Cache) GetImage(key string) (*objfile.Image, bool) {
 	if c == nil {

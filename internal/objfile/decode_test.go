@@ -2,8 +2,10 @@ package objfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -42,6 +44,55 @@ func TestReadTruncatedEveryPrefix(t *testing.T) {
 					t.Fatalf("%s: %d-byte prefix of %d: got %v, want ErrTruncated", d.name, n, len(d.data), err)
 				}
 			}()
+		}
+	}
+}
+
+// TestReadHugeDeclaredSection: a 40-byte object whose first section
+// declares 1 GiB of data must fail as truncated after allocating about what
+// it holds, not the declared length.
+func TestReadHugeDeclaredSection(t *testing.T) {
+	var b []byte
+	b = append(b, objMagic...)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = append(b, 'h')
+	b = binary.LittleEndian.AppendUint64(b, maxBlob) // section size
+	b = binary.LittleEndian.AppendUint64(b, maxBlob) // declared data length
+	b = append(b, "abcdefg"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(b))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("%d-byte object declaring %d bytes: got %v, want ErrTruncated", len(b), maxBlob, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("%d-byte object allocated %d bytes, want under 1 MB", len(b), got)
+	}
+}
+
+// TestReadLargeBlobChunked: byte arrays longer than one chunk decode
+// intact, at exact and inexact multiples of it.
+func TestReadLargeBlobChunked(t *testing.T) {
+	for _, n := range []int{blobChunk, blobChunk + 1, 3*blobChunk + 5} {
+		o := New("big")
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		o.Sections[SecData] = Section{Data: data, Size: uint64(n)}
+		var buf bytes.Buffer
+		if err := o.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%d-byte section: %v", n, err)
+		}
+		if !bytes.Equal(got.Sections[SecData].Data, data) || cap(got.Sections[SecData].Data) != n {
+			t.Errorf("%d-byte section: decoded %d bytes (cap %d), want the input exactly",
+				n, len(got.Sections[SecData].Data), cap(got.Sections[SecData].Data))
 		}
 	}
 }

@@ -144,13 +144,28 @@ func (rd *reader) length(limit uint64) int {
 	return int(n)
 }
 
+// blobChunk is the most a byte array's buffer may run ahead of the bytes
+// read into it. An array up to this size (every section and segment of the
+// suite's objects and images) is still read with one exact allocation.
+const blobChunk = 64 << 10
+
+// bytes reads a length-prefixed byte array. The declared length is only a
+// claim about input that may never arrive, so the buffer starts at
+// blobChunk and doubles as bytes fill it: a short input costs at most twice
+// what it holds, not the declared length (up to maxBlob).
 func (rd *reader) bytes(limit uint64) []byte {
 	n := rd.length(limit)
 	if n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
+	b := make([]byte, min(n, blobChunk))
 	rd.raw(b)
+	for len(b) < n && rd.err == nil {
+		grown := make([]byte, min(n, 2*len(b)))
+		copy(grown, b)
+		rd.raw(grown[len(b):])
+		b = grown
+	}
 	return b
 }
 

@@ -222,7 +222,7 @@ func TestCheckCatchesBrokenPass(t *testing.T) {
 	}
 }
 
-// TestSpecV1Rejected: a job document of the previous version, whose verify
+// TestSpecV1Rejected: a job document of version 1, whose verify
 // and lint flags v2 replaced with check, gets a 400 naming the version the
 // server speaks, whether it carries v1 fields or not.
 func TestSpecV1Rejected(t *testing.T) {

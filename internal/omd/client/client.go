@@ -1,6 +1,8 @@
 // Package client is the typed HTTP client for the omd link service: it
-// submits omd-job/v2 specs, polls job status, and fetches results, speaking
-// the wire types of package omd directly.
+// submits omd-job/v3 specs, polls job status, and fetches results, speaking
+// the wire types of package omd directly. A submission is a
+// multipart/form-data body: the JSON document as the "spec" part, then each
+// uploaded module's raw objfile bytes as an "object" part.
 package client
 
 import (
@@ -9,7 +11,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime/multipart"
 	"net/http"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"time"
@@ -121,7 +125,7 @@ func (c *Client) SubmitTraced(ctx context.Context, spec *omd.JobSpec, traceID st
 }
 
 func (c *Client) submit(ctx context.Context, spec *omd.JobSpec, traceID string, wait bool) (*omd.JobStatus, error) {
-	data, err := json.Marshal(spec)
+	body, contentType, err := submitBody(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +133,11 @@ func (c *Client) submit(ctx context.Context, spec *omd.JobSpec, traceID string, 
 	if wait {
 		url += "?wait=1"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if traceID != "" {
 		req.Header.Set(omd.TraceHeader, traceID)
 	}
@@ -147,6 +151,47 @@ func (c *Client) submit(ctx context.Context, spec *omd.JobSpec, traceID string, 
 		return nil, err
 	}
 	return &st, nil
+}
+
+// submitBody writes spec as a POST /jobs body: the document (which leaves
+// the objects out) as the "spec" part, then one "object" part per module,
+// each carrying its bytes unencoded.
+func submitBody(spec *omd.JobSpec) ([]byte, string, error) {
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		return nil, "", err
+	}
+	// Each part adds its boundary line and two header lines, under 256
+	// bytes; growing once keeps the modules from being copied twice.
+	size := len(doc) + 256*(len(spec.Objects)+2)
+	for _, obj := range spec.Objects {
+		size += len(obj)
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	mw := multipart.NewWriter(&buf)
+	part := func(name, contentType string, data []byte) error {
+		h := textproto.MIMEHeader{}
+		h.Set("Content-Disposition", `form-data; name="`+name+`"`)
+		h.Set("Content-Type", contentType)
+		w, err := mw.CreatePart(h)
+		if err == nil {
+			_, err = w.Write(data)
+		}
+		return err
+	}
+	if err := part("spec", "application/json", doc); err != nil {
+		return nil, "", err
+	}
+	for _, obj := range spec.Objects {
+		if err := part("object", "application/octet-stream", obj); err != nil {
+			return nil, "", err
+		}
+	}
+	if err := mw.Close(); err != nil {
+		return nil, "", err
+	}
+	return buf.Bytes(), mw.FormDataContentType(), nil
 }
 
 // Status fetches one job's current state.

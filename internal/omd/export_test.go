@@ -41,3 +41,9 @@ func (s *Server) SubmitProbe(js *JobSpec) (bool, error) {
 	}
 	return rec.memoHit, nil
 }
+
+// Submission body bounds, for the tests that probe them.
+const (
+	MaxSubmitBody  = maxSubmitBody
+	MaxObjectParts = maxObjectParts
+)

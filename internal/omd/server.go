@@ -955,7 +955,10 @@ func (s *Server) retryAfter() int {
 //	GET  /metrics            MetricsSnapshot (registry, cache, queue);
 //	                         ?format=prometheus (or Accept: text/plain)
 //	                         selects Prometheus text exposition
-//	POST /jobs               submit a JobSpec; ?wait=1 blocks until done;
+//	POST /jobs               submit a job: multipart/form-data with a
+//	                         "spec" part (the JSON document) and one
+//	                         "object" part per uploaded module, or the
+//	                         bare document; ?wait=1 blocks until done;
 //	                         Om-Trace-Id names the job's trace
 //	GET  /jobs               all job statuses, submission order
 //	GET  /jobs/{id}          one job's status
@@ -1016,17 +1019,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqStart := s.now()
-	var js JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&js); err != nil {
-		// A document of another version fails on its fields. The decoder
-		// still fills the known ones, so name the version this server
-		// speaks instead.
-		if js.Version != "" && js.Version != SpecVersion {
-			err = versionError(js.Version)
+	js, err := decodeSubmit(r.Header.Get("Content-Type"), r.ContentLength, http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	if err != nil {
+		code := http.StatusBadRequest
+		if se := (*submitError)(nil); errors.As(err, &se) {
+			code = se.status
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	rs, err := js.resolve()

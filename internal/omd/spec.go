@@ -5,16 +5,19 @@
 // build cache warm across requests — the WHOPR-shaped answer to running
 // whole-program optimization repeatedly over the same inputs.
 //
-// A job is an omd-job/v2 document (JobSpec): the program to link (a named
+// A job is an omd-job/v3 document (JobSpec): the program to link (a named
 // benchmark of the suite, or uploaded object modules), the resolved OM
 // option set in its canonical om-options/v1 form, an optional om-profile/v1
 // document for profile-guided layout, the check level the link must pass,
-// and an optional simulation of the linked image. The spec maps one-to-one
-// onto om.Run options, so a remote job and a local cmd/om invocation of the
-// same inputs produce byte-identical images. The server's coalescing key is
-// a content hash over everything that determines the result; the build
-// cache's image store is keyed on the narrower set that determines the
-// image (program, options, profile).
+// and an optional simulation of the linked image. Uploaded modules do not
+// travel inside the document: POST /jobs is a multipart/form-data body whose
+// first part ("spec") is the document and whose later parts ("object") are
+// the modules' objfile bytes, in order (see decodeSubmit). The spec maps
+// one-to-one onto om.Run options, so a remote job and a local cmd/om
+// invocation of the same inputs produce byte-identical images. The server's
+// coalescing key is a content hash over everything that determines the
+// result; the build cache's image store is keyed on the narrower set that
+// determines the image (program, options, profile).
 package omd
 
 import (
@@ -22,11 +25,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
+	"io"
+	"mime"
+	"mime/multipart"
+	"net/http"
 	"time"
 
-	"repro/internal/buildcache"
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/profile"
@@ -36,7 +43,7 @@ import (
 
 // SpecVersion tags the job document format; submissions carrying any other
 // version are rejected before admission.
-const SpecVersion = "omd-job/v2"
+const SpecVersion = "omd-job/v3"
 
 // JobSpec is the serializable description of one link job. Exactly one of
 // Benchmark and Objects must be set.
@@ -49,8 +56,10 @@ type JobSpec struct {
 	// "compile-each" (default) or "compile-all".
 	BuildMode string `json:"build_mode,omitempty"`
 	// Objects are serialized object modules (objfile format) uploaded by
-	// the client, as an alternative to a named benchmark.
-	Objects [][]byte `json:"objects,omitempty"`
+	// the client, as an alternative to a named benchmark. They are not
+	// part of the JSON document: each travels as one raw "object" part of
+	// the multipart submission body.
+	Objects [][]byte `json:"-"`
 	// NoStdlib skips linking the runtime library (uploaded objects that
 	// already include it).
 	NoStdlib bool `json:"no_stdlib,omitempty"`
@@ -92,7 +101,9 @@ type resolved struct {
 	prof     *profile.Profile
 	bench    benchspec.Benchmark // benchmark jobs
 	eachMode bool                // compile-each (benchmark jobs)
-	key      string
+	// key is the coalescing and result-memo key: progKey, the variant and
+	// the profile hash.
+	key string
 	// progKey identifies the merged program independent of options: the
 	// program inputs (raw uploaded bytes, or benchmark sources + build
 	// mode) plus stdlib inclusion. It keys the decoded-program cache.
@@ -181,15 +192,164 @@ func (js *JobSpec) resolve() (*resolved, error) {
 			}
 		}
 	}
-	if err := r.computeKey(); err != nil {
-		return nil, err
-	}
+	r.computeKey()
 	return r, nil
 }
 
 // versionError rejects a job document of another version.
 func versionError(v string) error {
-	return fmt.Errorf("omd: job version %q, want %q (v2 replaced verify and lint with check)", v, SpecVersion)
+	return fmt.Errorf("omd: job version %q, want %q (v3 sends objects as multipart parts, "+
+		"not in the document; v2 replaced verify and lint with check)", v, SpecVersion)
+}
+
+// Submission body bounds. The largest upload the suite or progen produces
+// is a progen 16x program sent with no_stdlib: its 3 modules (about 385 KB
+// over the seeds tried, at most 164 KB in one module) plus the runtime
+// library's 6 modules (11.5 KB), so 9 object parts and about 400 KB. A
+// suite benchmark sent the same way is at most 10 parts and 24 KB.
+const (
+	// maxSubmitBody is 20x the largest upload, rounded up to a power of
+	// two: programs several times larger than any generated one still fit,
+	// and the body a submission can make the server hold stays at 8 MiB.
+	maxSubmitBody = 8 << 20
+	// maxObjectParts is about 25x the most modules an upload has (10): a
+	// part costs a header map and a slice however small it is, so the
+	// count needs its own bound below the byte bound.
+	maxObjectParts = 256
+)
+
+// submitError is a POST /jobs body the server refuses before resolving
+// the document; status is the HTTP status it answers with.
+type submitError struct {
+	status int
+	err    error
+}
+
+func (e *submitError) Error() string { return e.err.Error() }
+func (e *submitError) Unwrap() error { return e.err }
+
+func badBody(format string, args ...any) error {
+	return &submitError{http.StatusBadRequest, fmt.Errorf(format, args...)}
+}
+
+// readError classifies a failed body read: over maxSubmitBody is a 413,
+// anything else a malformed body.
+func readError(err error) error {
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		return &submitError{http.StatusRequestEntityTooLarge,
+			fmt.Errorf("omd: request body over %d bytes", mbe.Limit)}
+	}
+	return badBody("omd: request body: %v", err)
+}
+
+// decodeSubmit reads a POST /jobs body into a JobSpec. A multipart/form-data
+// body carries the JSON job document as its first part, named "spec", and
+// each uploaded module's objfile bytes as one later part named "object", in
+// link order. A body of any other content type is the bare document: the
+// spec part of a job with no uploads. declared is the body's declared length
+// (-1 when unknown); it only sizes the buffer the objects are read into.
+// Every error is a *submitError.
+func decodeSubmit(contentType string, declared int64, body io.Reader) (*JobSpec, error) {
+	mt, params, err := mime.ParseMediaType(contentType)
+	if err != nil || mt != "multipart/form-data" {
+		return decodeSpec(body)
+	}
+	mr := multipart.NewReader(body, params["boundary"])
+	arena := make(uploadArena, 0, min(max(declared, 0), arenaPrealloc))
+	var js *JobSpec
+	for {
+		part, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, readError(err)
+		}
+		name := part.FormName()
+		switch {
+		case js == nil && name != "spec":
+			return nil, badBody("omd: first part is %q, want \"spec\"", name)
+		case js == nil:
+			if js, err = decodeSpec(part); err != nil {
+				return nil, err
+			}
+		case name != "object":
+			return nil, badBody("omd: part %q after the spec, want \"object\"", name)
+		case len(js.Objects) == maxObjectParts:
+			return nil, &submitError{http.StatusRequestEntityTooLarge,
+				fmt.Errorf("omd: more than %d object parts", maxObjectParts)}
+		default:
+			data, err := arena.read(part)
+			if err != nil {
+				return nil, readError(err)
+			}
+			if len(data) == 0 {
+				return nil, badBody("omd: object part %d is empty", len(js.Objects))
+			}
+			js.Objects = append(js.Objects, data)
+		}
+	}
+	if js == nil {
+		return nil, badBody("omd: no \"spec\" part")
+	}
+	return js, nil
+}
+
+// arenaPrealloc caps the buffer a declared body length reserves before its
+// bytes arrive. It holds every suite and progen 1x/4x upload (at most about
+// 100 KB) in one allocation; a larger body grows it.
+const arenaPrealloc = 256 << 10
+
+// uploadArena is the buffer a submission's object parts are read into, one
+// after another. Each object is a slice of it capped at its own length, so
+// a later part never writes into an earlier one.
+type uploadArena []byte
+
+// read appends r's bytes to the arena and returns them. When the arena
+// fills, the part read so far moves to a new buffer of twice the size;
+// earlier objects stay where they are.
+func (a *uploadArena) read(r io.Reader) ([]byte, error) {
+	buf, start := *a, len(*a)
+	for {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf)-start, max(2*cap(buf), 4<<10))
+			copy(grown, buf[start:])
+			buf, start = grown, 0
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			*a = buf
+			return buf[start:len(buf):len(buf)], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodeSpec reads one job document, rejecting fields this version does
+// not have. A document of another version usually fails on one (v2's
+// objects, v1's verify and lint), so a failed decode whose version can
+// still be read names the version this server speaks instead.
+func decodeSpec(r io.Reader) (*JobSpec, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, readError(err)
+	}
+	js := new(JobSpec)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(js); err != nil {
+		var probe struct {
+			Version string `json:"version"`
+		}
+		if json.Unmarshal(data, &probe) == nil && probe.Version != "" && probe.Version != SpecVersion {
+			err = versionError(probe.Version)
+		}
+		return nil, badBody("%v", err)
+	}
+	return js, nil
 }
 
 // variant is the non-program half of the coalescing key: the canonical
@@ -229,65 +389,44 @@ func writeStr(h hash.Hash, s string) {
 	h.Write([]byte(s))
 }
 
-func (r *resolved) computeKey() error {
-	profHash := r.profileHash()
+// computeKey hashes the program inputs once, into progKey, and derives the
+// coalescing key from progKey, the variant and the profile hash, so an
+// upload's bytes go through SHA-256 exactly once per submission.
+func (r *resolved) computeKey() {
+	h := sha256.New()
 	if r.spec.Benchmark == "" {
-		// The raw uploaded bytes are the objfile serialization, so this key
-		// equals the decoded-object ImageKey without parsing anything.
-		r.key = buildcache.RawImageKey(r.spec.Objects, r.variant(), profHash)
-		r.progKey = rawProgramKey(r.spec.Objects, r.spec.NoStdlib)
-		return nil
-	}
-	// Benchmark jobs hash the sources themselves, not just the name, so
-	// the key stays content-addressed across daemon versions that ship
-	// different generated suites.
-	h := sha256.New()
-	writeStr(h, SpecVersion+"/bench")
-	writeStr(h, r.bench.Name)
-	writeStr(h, fmt.Sprint(r.eachMode))
-	for _, m := range r.bench.Modules {
-		writeStr(h, m.Name)
-		writeStr(h, m.Text)
-	}
-	writeStr(h, r.variant())
-	writeStr(h, profHash)
-	r.key = fmt.Sprintf("%x", h.Sum(nil))
-
-	hp := sha256.New()
-	writeStr(hp, SpecVersion+"/program/bench")
-	writeStr(hp, r.bench.Name)
-	writeStr(hp, fmt.Sprint(r.eachMode))
-	for _, m := range r.bench.Modules {
-		writeStr(hp, m.Name)
-		writeStr(hp, m.Text)
-	}
-	writeStr(hp, fmt.Sprint(r.spec.NoStdlib))
-	r.progKey = fmt.Sprintf("%x", hp.Sum(nil))
-	return nil
-}
-
-// rawProgramKey is the options-independent program identity of an uploaded
-// job: the raw module bytes plus stdlib inclusion. The runtime library is
-// resident per server process, so its content needs no hashing here.
-func rawProgramKey(raw [][]byte, noStdlib bool) string {
-	h := sha256.New()
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(raw)))
-	h.Write(n[:])
-	for _, data := range raw {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
+		writeStr(h, SpecVersion+"/program/objects")
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(r.spec.Objects)))
 		h.Write(n[:])
-		h.Write(data)
-	}
-	binary.LittleEndian.PutUint64(n[:], uint64(len(SpecVersion)))
-	h.Write(n[:])
-	h.Write([]byte(SpecVersion))
-	if noStdlib {
-		h.Write([]byte{1})
+		for _, data := range r.spec.Objects {
+			binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
+			h.Write(n[:])
+			h.Write(data)
+		}
 	} else {
-		h.Write([]byte{0})
+		// Benchmark jobs hash the sources themselves, not just the name, so
+		// the key stays content-addressed across daemon versions that ship
+		// different generated suites.
+		writeStr(h, SpecVersion+"/program/bench")
+		writeStr(h, r.bench.Name)
+		writeStr(h, fmt.Sprint(r.eachMode))
+		for _, m := range r.bench.Modules {
+			writeStr(h, m.Name)
+			writeStr(h, m.Text)
+		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	// The runtime library is resident per server process, so its content
+	// needs no hashing here; whether it is linked does.
+	writeStr(h, fmt.Sprint(r.spec.NoStdlib))
+	r.progKey = fmt.Sprintf("%x", h.Sum(nil))
+
+	k := sha256.New()
+	writeStr(k, SpecVersion+"/job")
+	writeStr(k, r.progKey)
+	writeStr(k, r.variant())
+	writeStr(k, r.profileHash())
+	r.key = fmt.Sprintf("%x", k.Sum(nil))
 }
 
 // decodeObjects parses the uploaded modules. Only the execution cold path
