@@ -20,8 +20,9 @@ test:
 	$(GO) test ./...
 
 # The parallel harness, OM's concurrent analysis, the omd service
-# (coalescing, queue, drain), the warm-path caches (stage stores,
-# resident program cache, lifted-form cache), the telemetry
+# (coalescing, queue, drain), the warm-path caches (stage stores and the
+# resident program cache, whose programs concurrent links share read-only,
+# pinned by om's TestSharedProgramRunsByteIdentical), the telemetry
 # layer (concurrent span recording, registry snapshots, the flight
 # recorder ring), and the verification engine must stay race-clean.
 race:
@@ -96,18 +97,22 @@ bench-link:
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
 
-# linkbench-smoke keeps the warm-path suite honest on every push: each link
-# benchmark runs once, then a command-line -warmcheck link proves a warm
-# relink is byte-identical to the cold link that preceded it. The program's
-# 32 KB common array makes OM ship its data region as two segments (the
-# zero commons become the first one's ZeroSize), so the check covers split
-# images too.
+# linkbench-smoke runs each link benchmark once, then links a program
+# whose 32 KB common array makes OM ship its data region as two segments
+# (the zero commons become the first one's ZeroSize) with -check full, runs
+# the split image in axsim, and requires its output to equal an OM-none
+# link's output.
 linkbench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)' -benchtime 1x -count 1 .
 	@dir=$$(mktemp -d); \
-	printf 'long g;\nlong big[4096];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i * 400] = g; i = i + 1; } return g + big[3600]; }\n' > $$dir/t.tc; \
-	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \
-	$(GO) run ./cmd/om -warmcheck -o $$dir/a.out $$dir/t.o; \
+	printf 'long print(long x);\nlong g;\nlong big[4096];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i * 400] = g; i = i + 1; } print(g); print(big[3600]); return 0; }\n' > $$dir/t.tc; \
+	$(GO) build -o $$dir/ ./cmd/tcc ./cmd/om ./cmd/axsim && \
+	$$dir/tcc -o $$dir/t.o $$dir/t.tc && \
+	$$dir/om -check full -o $$dir/full.out $$dir/t.o && \
+	$$dir/om -level none -o $$dir/none.out $$dir/t.o && \
+	$$dir/axsim $$dir/full.out > $$dir/full.txt && \
+	$$dir/axsim $$dir/none.out > $$dir/none.txt && \
+	test -s $$dir/none.txt && cmp $$dir/full.txt $$dir/none.txt; \
 	status=$$?; rm -rf $$dir; exit $$status
 
 # trace-smoke proves the decision journal accounts for every candidate

@@ -195,8 +195,8 @@ func BenchmarkFig6Dynamic(b *testing.B) {
 
 // --- Link benchmarks. Cold is the daemon's worst case — decode every
 // uploaded module, merge, and link from nothing. Warm relinks a program the
-// resident program cache and lift store already hold, so it skips decode,
-// merge and lift and pays for the clone, the passes, layout and emission.
+// resident program cache already holds, so it skips decode and merge and
+// pays for the lift, the passes, layout and emission.
 
 // serializeObjects renders each module to the wire bytes a daemon receives.
 func serializeObjects(b *testing.B, objs []*objfile.Object) [][]byte {
@@ -256,13 +256,12 @@ func BenchmarkLinkColdProgen(b *testing.B) {
 	linkCold(b, append(objs, lib...))
 }
 
-// BenchmarkLinkWarm relinks li through the resident program cache and
-// lift store, cycling option sets so no two consecutive relinks share
-// options: the daemon's steady-state relink of a program it has seen.
+// BenchmarkLinkWarm relinks li through the resident program cache, cycling
+// option sets so no two consecutive relinks share options: the daemon's
+// steady-state relink of a program it has seen.
 func BenchmarkLinkWarm(b *testing.B) {
 	objs := buildObjects(b, "li")
 	pc := buildcache.NewProgramCache(0, nil)
-	memo := om.NewMemo(nil)
 	optSets := [][]om.Option{
 		{om.WithLevel(om.LevelFull)},
 		{om.WithAblation(om.Ablation{NoCommonSort: true})},
@@ -272,7 +271,7 @@ func BenchmarkLinkWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := om.Run(context.Background(), p, append(opts, om.WithMemo(memo))...); err != nil {
+		if _, err := om.Run(context.Background(), p, opts...); err != nil {
 			b.Fatal(err)
 		}
 	}

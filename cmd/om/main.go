@@ -6,11 +6,7 @@
 //
 //	om [-o a.out] [-level none|simple|full] [-schedule] [-nostdlib]
 //	   [-profile file] [-stats] [-trace file] [-check off|static|full]
-//	   [-metrics] [-warmcheck] [-v] file.o...
-//
-// -warmcheck links the program a second time through the lifted-form cache
-// and fails unless the relink hit the cache and its image is byte-identical
-// to the first — a command-line probe of the warm path's core invariant.
+//	   [-metrics] [-v] file.o...
 //
 // -check makes the link prove its output before writing it. static runs the
 // whole-program dataflow analysis over the symbolic program before and
@@ -27,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -57,7 +52,6 @@ func main() {
 	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
 	checkFlag := flag.String("check", "off", "prove the output before writing it: off, static (dataflow analysis) or full (static plus translation validation)")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
-	warmcheck := flag.Bool("warmcheck", false, "relink through the lifted-form cache and verify the image is byte-identical")
 	verbose := flag.Bool("v", false, "print progress")
 	flag.Parse()
 
@@ -155,11 +149,6 @@ func main() {
 	if *trace != "" {
 		opts = append(opts, om.WithTrace())
 	}
-	var memo *om.Memo
-	if *warmcheck {
-		memo = om.NewMemo(reg)
-		opts = append(opts, om.WithMemo(memo))
-	}
 	res, err := om.Run(context.Background(), p, append(opts, chk.Options()...)...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "om:", err)
@@ -189,34 +178,6 @@ func main() {
 			}
 			logger.Logf("om: wrote verdicts to %s.verify.json", *trace)
 		}
-	}
-	if memo != nil {
-		// The first run populated the lifted-form cache; a second run over
-		// the same program and options must start from it and still emit a
-		// byte-identical image — the invariant the warm path is built on.
-		warm, err := om.Run(context.Background(), p, opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "om: warmcheck relink:", err)
-			os.Exit(1)
-		}
-		var cold, hot bytes.Buffer
-		if err := im.Write(&cold); err == nil {
-			err = warm.Image.Write(&hot)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "om: warmcheck:", err)
-			os.Exit(1)
-		}
-		if !bytes.Equal(cold.Bytes(), hot.Bytes()) {
-			fmt.Fprintln(os.Stderr, "om: warmcheck: warm relink produced a different image")
-			os.Exit(1)
-		}
-		st := memo.LiftStats()
-		if st.Hits == 0 {
-			fmt.Fprintln(os.Stderr, "om: warmcheck: relink missed the lifted-form cache")
-			os.Exit(1)
-		}
-		logger.Logf("om: warmcheck ok (%d lift-store hits, image byte-identical)", st.Hits)
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, res.Stats)

@@ -224,7 +224,7 @@ func renderTop(snap *omd.MetricsSnapshot, jobs []omd.JobStatus, recent int) {
 	c := snap.Cache
 	fmt.Printf("object cache: %s   image cache: %s\n",
 		rate(c.Hits, c.Misses), rate(c.ImageHits, c.ImageMisses))
-	for _, name := range []string{"program", "lift", "pass"} {
+	for _, name := range stageNames(snap) {
 		hits, misses := snap.Counter("stage/"+name+"/hits"), snap.Counter("stage/"+name+"/misses")
 		if hits+misses > 0 {
 			fmt.Printf("stage %-8s %s\n", name+":", rate(hits, misses))
@@ -255,6 +255,23 @@ func renderTop(snap *omd.MetricsSnapshot, jobs []omd.JobStatus, recent int) {
 	}
 }
 
+// stageNames lists the warm-path stage stores present in the snapshot, in
+// metric order; each reports as stage/<name>/{hits,misses,evictions}.
+func stageNames(snap *omd.MetricsSnapshot) []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, e := range snap.Metrics {
+		if e.Kind != "counter" || !strings.HasPrefix(e.Name, "stage/") {
+			continue
+		}
+		if name, _, ok := strings.Cut(strings.TrimPrefix(e.Name, "stage/"), "/"); ok && !seen[name] {
+			seen[name] = true
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
 // timerFor returns a named timer's stats from the snapshot, nil if absent.
 func timerFor(snap *omd.MetricsSnapshot, name string) *obs.TimerStats {
 	for _, e := range snap.Metrics {
@@ -281,29 +298,16 @@ func renderMetrics(snap *omd.MetricsSnapshot) {
 		rate(c.Hits, c.Misses), c.DiskHits, c.Misses)
 	fmt.Printf("image cache:  %s\n", rate(c.ImageHits, c.ImageMisses))
 
-	// Warm-path stage stores report as stage/<name>/{hits,misses,evictions}.
-	names := []string{}
-	seen := map[string]bool{}
-	for _, e := range snap.Metrics {
-		if e.Kind != "counter" || !strings.HasPrefix(e.Name, "stage/") {
-			continue
-		}
-		if name, _, ok := strings.Cut(strings.TrimPrefix(e.Name, "stage/"), "/"); ok && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	for _, name := range names {
+	for _, name := range stageNames(snap) {
 		fmt.Printf("stage %-8s %s, %d evictions\n", name+":",
 			rate(snap.Counter("stage/"+name+"/hits"), snap.Counter("stage/"+name+"/misses")),
 			snap.Counter("stage/"+name+"/evictions"))
 	}
 
-	if procs := snap.Counter("om/lift/procs") + snap.Counter("om/lift/replayed"); procs > 0 {
-		fmt.Printf("om: %d modules decoded; %d procs lifted, %d replayed; %d passed\n",
-			snap.Counter("om/decode/modules"),
-			snap.Counter("om/lift/procs"), snap.Counter("om/lift/replayed"),
-			snap.Counter("om/passes/procs"))
+	if procs := snap.Counter("om/lift/procs"); procs > 0 {
+		fmt.Printf("om: %d modules decoded; %d procs lifted; %d passed in %d fixpoint rounds\n",
+			snap.Counter("om/decode/modules"), procs,
+			snap.Counter("om/passes/procs"), snap.Counter("om/passes/rounds"))
 	}
 
 	for _, e := range snap.Metrics {

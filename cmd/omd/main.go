@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -118,7 +117,7 @@ func main() {
 		return
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := srv.HTTPServer(*addr)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "omd: listening on %s (%d workers, queue %d)\n", *addr, cfg.Workers, *queue)

@@ -41,7 +41,6 @@ import (
 	"repro/internal/buildcache"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/om"
 )
 
 func main() {
@@ -86,11 +85,9 @@ func main() {
 		}
 		ropts = append(ropts, harness.WithCache(cache))
 		// Matrix cells relink the same merged modules under different
-		// options; the resident program cache and the lifted-form cache
-		// make every cell after the first skip decode, merge and lift.
-		ropts = append(ropts,
-			harness.WithProgramCache(buildcache.NewProgramCache(0, reg)),
-			harness.WithMemo(om.NewMemo(reg)))
+		// options; the resident program cache makes every cell after the
+		// first skip decode and merge.
+		ropts = append(ropts, harness.WithProgramCache(buildcache.NewProgramCache(0, reg)))
 	}
 	r, err := harness.New(ropts...)
 	if err != nil {

@@ -137,10 +137,6 @@ type Runner struct {
 	// that link the same modules skip re-decoding and re-merging. Entries
 	// are shared read-only; nil merges fresh every time.
 	Programs *buildcache.ProgramCache
-	// Memo, when non-nil, is the lifted-form cache threaded into every
-	// om.Run, letting warm relinks start from a cached lifted program
-	// instead of decoding and lifting it again.
-	Memo *om.Memo
 	// Trace collects a decision journal for every OM-linked matrix cell
 	// (Measurement.Journal).
 	Trace bool
@@ -183,13 +179,6 @@ func WithCache(c *buildcache.Cache) RunnerOption {
 // keyed by module content; nil disables residency (the default).
 func WithProgramCache(pc *buildcache.ProgramCache) RunnerOption {
 	return func(r *Runner) { r.Programs = pc }
-}
-
-// WithMemo threads an OM lifted-form cache into every link the runner
-// performs, so warm relinks reuse cached lifted programs; nil disables it
-// (the default).
-func WithMemo(m *om.Memo) RunnerOption {
-	return func(r *Runner) { r.Memo = m }
 }
 
 // WithLogger routes progress lines to l; nil discards them (the default).
@@ -365,9 +354,6 @@ func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode L
 		return im, nil, nil, time.Since(start), err
 	default:
 		opts := []om.Option{om.WithMetrics(r.Metrics), om.WithSpan(sp)}
-		if r.Memo != nil {
-			opts = append(opts, om.WithMemo(r.Memo))
-		}
 		if r.Trace {
 			opts = append(opts, om.WithTrace())
 		}

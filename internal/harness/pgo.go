@@ -123,11 +123,7 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	if err != nil {
 		return fail("merge", err)
 	}
-	iopts := []om.Option{om.WithInstrumentation()}
-	if r.Memo != nil {
-		iopts = append(iopts, om.WithMemo(r.Memo))
-	}
-	ires, err := om.Run(ctx, p, iopts...)
+	ires, err := om.Run(ctx, p, om.WithInstrumentation())
 	if err != nil {
 		return fail("instrument", err)
 	}
@@ -144,11 +140,7 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	if p, _, err = r.Programs.GetOrMerge(all); err != nil {
 		return fail("merge", err)
 	}
-	bopts := []om.Option{om.WithLevel(om.LevelFull), om.WithMetrics(r.Metrics)}
-	if r.Memo != nil {
-		bopts = append(bopts, om.WithMemo(r.Memo))
-	}
-	bres, err := om.Run(ctx, p, bopts...)
+	bres, err := om.Run(ctx, p, om.WithLevel(om.LevelFull), om.WithMetrics(r.Metrics))
 	if err != nil {
 		return fail("baseline", err)
 	}
@@ -176,9 +168,6 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 			return fail("merge", err)
 		}
 		opts := []om.Option{om.WithLevel(om.LevelFull), om.WithProfile(prof), om.WithMetrics(r.Metrics)}
-		if r.Memo != nil {
-			opts = append(opts, om.WithMemo(r.Memo))
-		}
 		if r.Trace {
 			opts = append(opts, om.WithTrace())
 		}

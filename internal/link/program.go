@@ -93,9 +93,8 @@ func (p *Program) MarkShared(moduleNames ...string) {
 
 // Hash returns the program's content address: the hash of every module's
 // content hash in merge order, the shared-library marking, and the entry
-// symbol. Two Programs with equal hashes lift to identical symbolic form,
-// which is what keys the decoded-program and lifted-form caches. The result
-// is memoized; MarkShared invalidates it.
+// symbol. Two Programs with equal hashes lift to identical symbolic form.
+// The result is memoized; MarkShared invalidates it.
 func (p *Program) Hash() string {
 	if h, ok := p.hash.Load().(string); ok && h != "" {
 		return h

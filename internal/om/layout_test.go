@@ -86,7 +86,7 @@ func TestLayoutIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := runFull(context.Background(), pg, Ablation{})
+	pl, _, err := runFull(context.Background(), pg, Ablation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestLayoutRevert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := runFull(context.Background(), pg, Ablation{})
+	pl, _, err := runFull(context.Background(), pg, Ablation{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,10 +348,9 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 		pr := &Proc{Mod: m, Sym: s, Name: sym.Name, Exported: sym.Exported}
 		base := sym.Value
 		n := int((sym.End - sym.Value) / 4)
-		// One contiguous slab per procedure, decoded in place: a warm relink
-		// clones the resident lifted form instruction by instruction, and
-		// the collector rescans it on every cycle, so locality and object
-		// count matter more than in a one-shot link.
+		// One contiguous slab per procedure, decoded in place: one object
+		// per procedure rather than per instruction keeps the lift's
+		// allocation count, and the collector's scanning, small.
 		pr.Insts = make([]*SInst, n)
 		backing := make([]SInst, n)
 		for i := range backing {

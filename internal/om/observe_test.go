@@ -65,33 +65,3 @@ func TestProgObserverError(t *testing.T) {
 		}
 	}
 }
-
-// TestProgObserverWarmLiftStore verifies an observer under a warm lift
-// store still fires at both stages: starting from the cached lifted form
-// skips decode and lift, never the stages the observer watches.
-func TestProgObserverWarmLiftStore(t *testing.T) {
-	memo := NewMemo(nil)
-
-	// Warm the memo with an unobserved run.
-	p := buildProgram(t, []tcc.Source{{Name: "main", Text: testProgram}})
-	if _, err := Run(context.Background(), p, WithLevel(LevelFull), WithMemo(memo)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The observed run must still fire both stages from the cached form.
-	p = buildProgram(t, []tcc.Source{{Name: "main", Text: testProgram}})
-	fired := 0
-	if _, err := Run(context.Background(), p, WithLevel(LevelFull), WithMemo(memo),
-		WithProgObserver(func(stage ProgStage, pg *Prog, pl *Plan) error {
-			fired++
-			return nil
-		})); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("observer fired %d times under a warm lift store, want 2", fired)
-	}
-	if st := memo.LiftStats(); st.Hits != 1 {
-		t.Fatalf("observed run: %d lift-store hits, want 1", st.Hits)
-	}
-}

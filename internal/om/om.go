@@ -20,7 +20,6 @@ type config struct {
 	trace       bool
 	metrics     *obs.Registry
 	profile     *profile.Profile
-	memo        *Memo
 	span        *obs.Span
 	observer    func(ProgStage, *Prog, *Plan) error
 }
@@ -62,7 +61,9 @@ func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n 
 func WithTrace() Option { return func(c *config) { c.trace = true } }
 
 // WithMetrics records per-phase wall time (om/lift, om/passes, om/layout,
-// om/emit) into the registry. A nil registry disables recording.
+// om/emit) and the work counters (om/decode/modules, om/lift/procs,
+// om/passes/procs, and om/passes/rounds for the OM-full fixpoint) into the
+// registry. A nil registry disables recording.
 func WithMetrics(m *obs.Registry) Option { return func(c *config) { c.metrics = m } }
 
 // WithSpan nests per-phase child spans (om/lift, om/passes, om/layout,
@@ -72,14 +73,6 @@ func WithMetrics(m *obs.Registry) Option { return func(c *config) { c.metrics = 
 // a nil span disables tracing at zero cost (Span.Child on nil allocates
 // nothing).
 func WithSpan(sp *obs.Span) Option { return func(c *config) { c.span = sp } }
-
-// WithMemo attaches a resident lifted-form cache (NewMemo) to the Run: a
-// program already lifted by any Run sharing the memo is cloned from it
-// instead of decoded and lifted again; the passes, layout and emission
-// always run. The memo never changes output — a warm Run is byte-identical
-// to a cold one — and, like WithParallelism, it is an execution detail
-// excluded from a job's serialized identity.
-func WithMemo(m *Memo) Option { return func(c *config) { c.memo = m } }
 
 // WithProfile enables profile-guided code layout: after the optimization
 // passes, procedures are reordered by Pettis–Hansen call-graph chain
@@ -140,32 +133,17 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		cfg.parallelism = runtime.GOMAXPROCS(0)
 	}
 
-	var (
-		pg         *Prog
-		le         *liftEntry
-		liftReplay bool
-		err        error
-	)
 	liftSpan := cfg.span.Child("om/lift")
 	liftDone := obs.StartSpan(cfg.metrics.Timer("om/lift"))
-	if cfg.memo != nil {
-		pg, le, liftReplay, err = cfg.memo.liftFor(ctx, p, cfg.parallelism)
-	} else {
-		pg, err = lift(ctx, p, cfg.parallelism)
-	}
+	pg, err := lift(ctx, p, cfg.parallelism)
 	liftDone()
 	liftSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	pg.par = cfg.parallelism
-	if liftReplay {
-		liftSpan.SetAttr("replayed", "true")
-		cfg.metrics.Counter("om/lift/replayed").Add(uint64(len(pg.Procs)))
-	} else {
-		cfg.metrics.Counter("om/decode/modules").Add(uint64(len(p.Objects)))
-		cfg.metrics.Counter("om/lift/procs").Add(uint64(len(pg.Procs)))
-	}
+	cfg.metrics.Counter("om/decode/modules").Add(uint64(len(p.Objects)))
+	cfg.metrics.Counter("om/lift/procs").Add(uint64(len(pg.Procs)))
 
 	if cfg.instrument {
 		blocks, err := Instrument(pg)
@@ -184,12 +162,8 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		return &Result{Image: im, Blocks: blocks}, nil
 	}
 
-	// The before-statistics depend only on program content; the lifted-form
-	// cache computed them once for its entry.
-	stats := &Stats{}
-	if le != nil {
-		*stats = le.before
-	} else if *stats, err = beforeStats(pg, p); err != nil {
+	stats, err := beforeStats(pg, p)
+	if err != nil {
 		return nil, err
 	}
 
@@ -213,7 +187,9 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 	case LevelSimple:
 		pl, err = runSimple(pg)
 	case LevelFull:
-		pl, err = runFull(ctx, pg, cfg.ablation)
+		var rounds int
+		pl, rounds, err = runFull(ctx, pg, cfg.ablation)
+		cfg.metrics.Counter("om/passes/rounds").Add(uint64(rounds))
 	}
 	passDone()
 	passSpan.End()
@@ -273,4 +249,20 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		return nil, err
 	}
 	return &Result{Image: im, Stats: stats, Journal: journal}, nil
+}
+
+// beforeStats computes the options-independent before-statistics of a
+// pristine lifted form: static instruction/annotation counts and the
+// baseline (unreduced, unsorted) GAT footprint.
+func beforeStats(pg *Prog, p *link.Program) (*Stats, error) {
+	st := &Stats{}
+	collectBefore(pg, st)
+	basePlan, err := link.AssignGATs(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, slots := range basePlan.Slots {
+		st.GATBytesBefore += uint64(len(slots)) * 8
+	}
+	return st, nil
 }

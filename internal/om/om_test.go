@@ -9,14 +9,17 @@ import (
 	"repro/internal/axp"
 	"repro/internal/link"
 	"repro/internal/objfile"
+	"repro/internal/obs"
+	"repro/internal/progen"
 	"repro/internal/rtlib"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/tcc"
 )
 
-// buildProgram compiles user sources (one unit each) plus the runtime
-// library and merges them.
-func buildProgram(t *testing.T, srcs []tcc.Source) *link.Program {
+// buildObjects compiles user sources (one unit each) and appends the
+// runtime library's modules, in link order.
+func buildObjects(t *testing.T, srcs []tcc.Source) []*objfile.Object {
 	t.Helper()
 	var objs []*objfile.Object
 	for _, s := range srcs {
@@ -30,7 +33,14 @@ func buildProgram(t *testing.T, srcs []tcc.Source) *link.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := link.Merge(append(objs, lib...))
+	return append(objs, lib...)
+}
+
+// buildProgram compiles user sources (one unit each) plus the runtime
+// library and merges them.
+func buildProgram(t *testing.T, srcs []tcc.Source) *link.Program {
+	t.Helper()
+	p, err := link.Merge(buildObjects(t, srcs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +248,7 @@ func TestIdempotence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := runFull(context.Background(), pg, Ablation{})
+	pl, _, err := runFull(context.Background(), pg, Ablation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +260,36 @@ func TestIdempotence(t *testing.T) {
 	}
 	if applyGPResetOpts(pg, pl, true) {
 		t.Error("reset opts still find work after fixpoint")
+	}
+}
+
+// TestFullFixpointRounds pins the OM-full fixpoint's round count: one
+// productive round and one confirming round, recorded once per Run in the
+// om/passes/rounds counter, on the test program, li and a progen program.
+// A program that needed the round cap would fail with ErrNoFixpoint.
+func TestFullFixpointRounds(t *testing.T) {
+	li, ok := spec.ByName("li")
+	if !ok {
+		t.Fatal("no li benchmark")
+	}
+	for _, tc := range []struct {
+		name string
+		srcs []tcc.Source
+	}{
+		{"testProgram", []tcc.Source{{Name: "prog", Text: testProgram}}},
+		{"li", li.Modules},
+		{"progen seed 1", progen.Generate(1, progen.DefaultConfig())},
+	} {
+		reg := obs.NewRegistry()
+		for run := 1; run <= 2; run++ {
+			if _, err := Run(context.Background(), buildProgram(t, tc.srcs),
+				WithLevel(LevelFull), WithMetrics(reg)); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got := reg.Counter("om/passes/rounds").Value(); got != uint64(2*run) {
+				t.Errorf("%s: %d rounds after %d Runs, want %d", tc.name, got, run, 2*run)
+			}
+		}
 	}
 }
 

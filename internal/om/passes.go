@@ -2,6 +2,8 @@ package om
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/axp"
 )
@@ -201,28 +203,38 @@ func runSimple(pg *Prog) (*Plan, error) {
 	return pl, nil
 }
 
+// maxFullRounds caps the OM-full fixpoint. The pass set is monotone (each
+// round only removes address loads, calls, resets and prologue pairs, or
+// shrinks the GAT), and every program measured converges in two rounds: one
+// productive, one confirming. A program still changing at the cap is a pass
+// bug, reported as ErrNoFixpoint rather than emitted under a stale plan.
+const maxFullRounds = 20
+
+// ErrNoFixpoint reports an OM-full run whose passes still changed the
+// program in round maxFullRounds.
+var ErrNoFixpoint = errors.New("om: OM-full fixpoint did not converge")
+
 // runFull performs the OM-full pass set, iterating with GAT reduction until
-// the layout and the code reach a fixpoint. The zero Ablation runs every
-// component; each switch disables one (the ablation study). The context is
-// checked between rounds, the natural cancellation points of the fixpoint.
-func runFull(ctx context.Context, pg *Prog, ab Ablation) (*Plan, error) {
+// the layout and the code reach a fixpoint, and reports the rounds it ran.
+// The zero Ablation runs every component; each switch disables one (the
+// ablation study). The context is checked between rounds, the natural
+// cancellation points of the fixpoint.
+func runFull(ctx context.Context, pg *Prog, ab Ablation) (*Plan, int, error) {
 	if !ab.NoPrologueRestore {
 		restoreProloguePairs(pg)
 	} else {
 		markPairPositions(pg)
 	}
-	var pl *Plan
-	for round := 0; ; round++ {
+	for round := 1; ; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, round - 1, err
 		}
-		var err error
-		pl, err = computePlan(pg, planOpts{
+		pl, err := computePlan(pg, planOpts{
 			reduceGAT:   !ab.NoGATReduction,
 			sortCommons: !ab.NoCommonSort,
 		})
 		if err != nil {
-			return nil, err
+			return nil, round, err
 		}
 		changed := false
 		if !ab.NoAddressOpt && applyAddressOptsEx(pg, pl, true, !ab.NoPairInsertion) {
@@ -238,11 +250,10 @@ func runFull(ctx context.Context, pg *Prog, ab Ablation) (*Plan, error) {
 			changed = true
 		}
 		if !changed {
-			break
+			return pl, round, nil
 		}
-		if round > 20 {
-			break // defensive bound; the pass set is monotone
+		if round == maxFullRounds {
+			return nil, round, fmt.Errorf("%w in %d rounds", ErrNoFixpoint, round)
 		}
 	}
-	return pl, nil
 }

@@ -46,4 +46,5 @@ func (s *Server) SubmitProbe(js *JobSpec) (bool, error) {
 const (
 	MaxSubmitBody  = maxSubmitBody
 	MaxObjectParts = maxObjectParts
+	MinUploadRate  = minUploadRate
 )

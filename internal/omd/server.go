@@ -155,13 +155,11 @@ type Server struct {
 	rec     *obs.FlightRecorder
 	started time.Time
 
-	// The resident warm-path stores, shared by every job the server runs:
-	// progCache holds merged decoded programs keyed on program inputs;
-	// omMemo holds OM's lifted forms keyed on program content. Both
-	// are content-addressed, so no eviction or invalidation coordination
-	// with jobs is needed, and both report stage/* counters to /metrics.
+	// progCache is the resident warm-path store shared by every job the
+	// server runs: merged decoded programs keyed on program inputs. It is
+	// content-addressed, so no eviction or invalidation coordination with
+	// jobs is needed, and it reports stage/program/* counters to /metrics.
 	progCache *buildcache.ProgramCache
-	omMemo    *om.Memo
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -229,7 +227,6 @@ func NewServer(cfg Config) *Server {
 		rec:        obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		started:    now(),
 		progCache:  buildcache.NewProgramCache(0, reg),
-		omMemo:     om.NewMemo(reg),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *flight, cfg.QueueDepth),
@@ -472,11 +469,13 @@ func (s *Server) runFlight(f *flight) {
 		}
 	}
 	s.mu.Unlock()
-	f.res, f.err = res, err
-	close(f.done)
+	// Log before releasing the waiters, so a ?wait=1 client that reads the
+	// log as soon as its job is done finds the job's records there.
 	for _, l := range logs {
 		s.logJobDone(l.rec, l.doc, l.total, err)
 	}
+	f.res, f.err = res, err
+	close(f.done)
 	if err != nil {
 		s.logf("omd: job %s failed: %v", f.key[:12], err)
 	} else {
@@ -568,11 +567,11 @@ func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) 
 // execute runs one link job end to end, warmest path first: a cached image
 // (keyed on program, options and profile, so a repeat that differs only in
 // simulation finds it) needs nothing resolved at all; a resident decoded
-// program skips compile, upload decode, and merge; and om.Run itself runs
-// against the server's lifted-form cache, so a relink of a resident program
-// re-decodes and re-lifts nothing and runs only the passes, layout and
-// emission. A traced or checked job bypasses the image cache — neither a
-// journal nor the symbolic program can be reproduced from a cached image.
+// program skips compile, upload decode, and merge, and om.Run lifts it
+// fresh (cloning a cached lifted form would cost more than the lift) and
+// runs the passes, layout and emission. A traced or checked job bypasses
+// the image cache — neither a journal nor the symbolic program can be
+// reproduced from a cached image.
 //
 // sp is the execution span on the lead job's trace; every stage becomes a
 // child, so the span tree mirrors the warm-path short-circuits (a cached
@@ -639,7 +638,7 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	omSpan := sp.Child("om")
 	linkDone := obs.StartSpan(s.reg.Timer("omd/link"))
 	opts := append(append([]om.Option(nil), rs.opts...),
-		om.WithMetrics(s.reg), om.WithMemo(s.omMemo), om.WithSpan(omSpan))
+		om.WithMetrics(s.reg), om.WithSpan(omSpan))
 	if rs.prof != nil {
 		opts = append(opts, om.WithProfile(rs.prof))
 	}
@@ -947,6 +946,33 @@ func (s *Server) retryAfter() int {
 		secs = 60
 	}
 	return secs
+}
+
+// Connection timeouts of the server HTTPServer builds. A request's headers
+// are small, so a client still sending them after readHeaderTimeout is
+// holding a connection, not uploading. The body is bounded by maxSubmitBody
+// (8 MiB): at minUploadRate (1 Mbit/s) it takes 64 s, so readTimeout
+// allows that after the headers. There is no write timeout: a ?wait=1
+// submission holds its response open for a whole link plus simulation,
+// which JobTimeout bounds instead.
+const (
+	readHeaderTimeout = 10 * time.Second
+	minUploadRate     = 128 << 10 // bytes per second
+	readTimeout       = readHeaderTimeout + maxSubmitBody/minUploadRate*time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server serving Handler on addr with read,
+// header and idle timeouts, so a slow or idle client cannot hold a
+// connection open without bound.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // Handler returns the HTTP API:

@@ -616,3 +616,26 @@ func TestCoalescingKeyDiscriminates(t *testing.T) {
 		t.Error("timeout_ms changed the coalescing key")
 	}
 }
+
+// TestHTTPServerTimeouts: the daemon's http.Server bounds how long a client
+// may take to send headers, to send a whole request and to sit idle, with
+// room for the largest allowed body at the slowest supported upload rate,
+// and sets no write timeout, which would cut off a ?wait=1 response.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 1})
+	hs := s.HTTPServer("127.0.0.1:0")
+	if hs.Addr != "127.0.0.1:0" || hs.Handler == nil {
+		t.Fatalf("server addr %q, handler %v", hs.Addr, hs.Handler)
+	}
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	upload := time.Duration(omd.MaxSubmitBody/omd.MinUploadRate) * time.Second
+	if hs.ReadTimeout < hs.ReadHeaderTimeout+upload {
+		t.Errorf("ReadTimeout %v leaves no room for an %d-byte body at %d B/s after %v of headers",
+			hs.ReadTimeout, omd.MaxSubmitBody, omd.MinUploadRate, hs.ReadHeaderTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout %v would cut off ?wait=1 responses", hs.WriteTimeout)
+	}
+}

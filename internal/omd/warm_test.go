@@ -14,11 +14,11 @@ import (
 	"repro/internal/tcc"
 )
 
-// TestWarmRelinkSkipsDecodeAndLift: an options-only relink of a program the
-// server has already linked must run entirely on the resident caches — the
-// om pipeline's own counters prove it re-decoded zero modules and re-lifted
-// zero procedures, replaying the cached lift instead.
-func TestWarmRelinkSkipsDecodeAndLift(t *testing.T) {
+// TestWarmRelinkSkipsDecode: an options-only relink of a program the server
+// has already linked must start from the resident program cache — no
+// compile, decode or merge — and lift that shared program afresh: every
+// relink lifts exactly as many procedures as the first link did.
+func TestWarmRelinkSkipsDecode(t *testing.T) {
 	s := newTestServer(t, omd.Config{Workers: 2, QueueDepth: 8})
 	c := startHTTP(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -35,21 +35,21 @@ func TestWarmRelinkSkipsDecodeAndLift(t *testing.T) {
 		}
 	}
 
-	// Cold: first contact with the benchmark decodes and lifts everything.
+	// Cold: first contact with the benchmark merges the program.
 	run(&omd.JobSpec{Version: omd.SpecVersion, Benchmark: "li",
 		Options: optDoc(t, om.WithLevel(om.LevelFull))})
 	cold, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Counter("om/decode/modules") == 0 || cold.Counter("om/lift/procs") == 0 {
-		t.Fatalf("cold run recorded no decode/lift work: decode=%d lift=%d",
-			cold.Counter("om/decode/modules"), cold.Counter("om/lift/procs"))
+	if cold.Counter("stage/program/misses") != 1 || cold.Counter("om/lift/procs") == 0 {
+		t.Fatalf("cold run: %d program-cache misses, %d procedures lifted; want 1 and > 0",
+			cold.Counter("stage/program/misses"), cold.Counter("om/lift/procs"))
 	}
 
 	// Warm: the same program under different option sets. Each is a distinct
-	// job key (no image-cache or memo hit), yet the resident program cache
-	// and lift store mean no module is re-decoded and no procedure re-lifted.
+	// job key (no image-cache or memo hit), so each runs OM over the
+	// resident program.
 	run(&omd.JobSpec{Version: omd.SpecVersion, Benchmark: "li",
 		Options: optDoc(t, om.WithLevel(om.LevelSimple))})
 	run(&omd.JobSpec{Version: omd.SpecVersion, Benchmark: "li",
@@ -59,20 +59,11 @@ func TestWarmRelinkSkipsDecodeAndLift(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got, was := warm.Counter("om/decode/modules"), cold.Counter("om/decode/modules"); got != was {
-		t.Errorf("warm relinks re-decoded %d modules, want 0", got-was)
+	if hits, misses := warm.Counter("stage/program/hits"), warm.Counter("stage/program/misses"); hits != 2 || misses != 1 {
+		t.Errorf("program cache: %d hits / %d misses, want 2 / 1", hits, misses)
 	}
-	if got, was := warm.Counter("om/lift/procs"), cold.Counter("om/lift/procs"); got != was {
-		t.Errorf("warm relinks re-lifted %d procedures, want 0", got-was)
-	}
-	if warm.Counter("om/lift/replayed") == 0 {
-		t.Error("warm relinks replayed no lifted procedures")
-	}
-	if warm.Counter("stage/program/hits") == 0 {
-		t.Error("warm relinks never hit the resident program cache")
-	}
-	if warm.Counter("stage/lift/hits") == 0 {
-		t.Error("warm relinks never hit the lift store")
+	if got, want := warm.Counter("om/lift/procs"), 3*cold.Counter("om/lift/procs"); got != want {
+		t.Errorf("three links lifted %d procedures, want %d", got, want)
 	}
 	if executed := warm.Counter("omd/jobs-executed"); executed != 3 {
 		t.Errorf("executed %d flights, want 3 (distinct options must not coalesce)", executed)
@@ -129,8 +120,8 @@ func TestImageCacheIgnoresSimulate(t *testing.T) {
 
 // TestConcurrentMixedOptionsRaceClean: 50 clients submit 10 distinct
 // (benchmark, options) jobs concurrently, so several workers link through
-// the shared program cache and OM memo at once — the -race gate's probe of
-// the warm path. Every client of a spec must see identical image bytes.
+// the shared resident programs at once — the -race gate's probe of the warm
+// path. Every client of a spec must see identical image bytes.
 func TestConcurrentMixedOptionsRaceClean(t *testing.T) {
 	s := newTestServer(t, omd.Config{Workers: 4, QueueDepth: 32})
 	c := startHTTP(t, s)
@@ -196,13 +187,9 @@ func TestConcurrentMixedOptionsRaceClean(t *testing.T) {
 	}
 	// Ten option sets over two programs: each program was merged once, even
 	// though its first links ran concurrently, so eight of the ten links
-	// found it resident or waited for its one merge; the lift store served
-	// the warm ones.
+	// found it resident or waited for its one merge.
 	if hits := snap.Counter("stage/program/hits"); hits != uint64(len(specs)-2) {
 		t.Errorf("stage/program/hits = %d, want %d", hits, len(specs)-2)
-	}
-	if snap.Counter("stage/lift/hits") == 0 {
-		t.Error("concurrent warm links never hit the lift store")
 	}
 }
 
