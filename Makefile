@@ -86,13 +86,13 @@ bench-smoke:
 		-benchtime 1x -count 1 . ./internal/objfile
 
 # bench-link runs the link benchmarks — cold decode+merge+link of li and of
-# a progen 4x program, relinks through the resident caches, the cold front
-# end's object decode and lift, and the static check of an OM-full image at
-# 1x and 16x — and records them, with allocation counts, as
-# BENCH_link.json. Commit the refreshed file when touching the link
-# pipeline.
+# a progen 4x program, relinks through the resident caches, an in-process
+# omd job served from the image cache (progen 4x), the cold front end's
+# object decode and lift, and the static check of an OM-full image at 1x
+# and 16x — and records them, with allocation counts, as BENCH_link.json.
+# Commit the refreshed file when touching the link pipeline.
 bench-link:
-	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkServeImageCacheHit|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
 		-benchmem -benchtime 2s -count 1 . ./internal/objfile ./internal/dataflow \
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
@@ -139,7 +139,9 @@ pgo-smoke:
 # load: an in-process daemon takes many concurrent identical submissions
 # and must collapse them to a single link with byte-identical responses.
 # It then uploads a program's objects as multipart parts and requires the
-# served image to equal a local link of the same modules.
+# served image to equal a local link of the same modules, and the same
+# upload with simulate flipped to be served those bytes from the image
+# cache.
 omd-smoke:
 	$(GO) run ./cmd/omd -loadsmoke -smoke-clients 32
 

@@ -19,12 +19,15 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/buildcache"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
+	"repro/internal/omd"
+	"repro/internal/omd/client"
 	"repro/internal/progen"
 	"repro/internal/rtlib"
 	"repro/internal/sim"
@@ -236,9 +239,10 @@ func linkCold(b *testing.B, objs []*objfile.Object) {
 // with the most zero data.
 func BenchmarkLinkCold(b *testing.B) { linkCold(b, buildObjects(b, "li")) }
 
-// BenchmarkLinkColdProgen links a progen 4x program: five times li's text,
-// small commons, so it weighs the pointerful symbolic form rather than data.
-func BenchmarkLinkColdProgen(b *testing.B) {
+// progen4x compiles the modules of a progen 4x program (seed 1): five
+// times li's text, small commons.
+func progen4x(b *testing.B) []*objfile.Object {
+	b.Helper()
 	cfg := progen.DefaultConfig()
 	cfg.FuncsPerMod *= 4
 	var objs []*objfile.Object
@@ -249,11 +253,54 @@ func BenchmarkLinkColdProgen(b *testing.B) {
 		}
 		objs = append(objs, obj)
 	}
+	return objs
+}
+
+// BenchmarkLinkColdProgen links a progen 4x program, which weighs the
+// pointerful symbolic form rather than data.
+func BenchmarkLinkColdProgen(b *testing.B) {
 	lib, err := rtlib.StandardObjects()
 	if err != nil {
 		b.Fatal(err)
 	}
-	linkCold(b, append(objs, lib...))
+	linkCold(b, append(progen4x(b), lib...))
+}
+
+// BenchmarkServeImageCacheHit times an omd job served from the image cache,
+// admission to fetched image: an in-process server behind HTTP takes an
+// upload of a progen 4x program it has already linked, under a simulation
+// cap no earlier job used (a new job key with the same image key), and the
+// client then fetches the image.
+func BenchmarkServeImageCacheHit(b *testing.B) {
+	cache, err := buildcache.New("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := omd.NewServer(omd.Config{Workers: 1, Cache: cache})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, nil)
+	ctx := context.Background()
+	spec := omd.JobSpec{Version: omd.SpecVersion, Objects: serializeObjects(b, progen4x(b))}
+	serve := func(maxInst uint64) {
+		spec.MaxInstructions = maxInst
+		st, err := c.SubmitWait(ctx, &spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.State != omd.JobDone || (maxInst > 0 && !st.ImageCacheHit) {
+			b.Fatalf("job %s: state %s (%s), image-cache hit %v", st.ID, st.State, st.Error, st.ImageCacheHit)
+		}
+		if _, err := c.Image(ctx, st.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+	serve(0) // the fresh link fills the image cache
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(uint64(i + 1))
+	}
 }
 
 // BenchmarkLinkWarm relinks li through the resident program cache, cycling

@@ -213,7 +213,9 @@ func runLoadSmoke(srv *omd.Server, n int) error {
 
 // checkUpload compiles a benchmark's modules, submits their objfile bytes
 // as an upload, and requires the served image to equal a local link of the
-// same modules under the same (default) options.
+// same modules under the same (default) options. It then resubmits the
+// upload with simulate flipped and requires the image cache to serve the
+// same bytes.
 func checkUpload(ctx context.Context, c *client.Client, bench string) error {
 	b, ok := benchspec.ByName(bench)
 	if !ok {
@@ -266,6 +268,29 @@ func checkUpload(ctx context.Context, c *client.Client, bench string) error {
 	}
 	fmt.Fprintf(os.Stderr, "omd: loadsmoke: %d uploaded %s modules -> image identical to a local link (%d bytes)\n",
 		len(spec.Objects), bench, len(served))
+
+	// The same upload with simulate flipped is a new job but the same
+	// image: the server must serve its cached bytes.
+	resim := *spec
+	resim.Simulate = !spec.Simulate
+	st, err = c.SubmitWait(ctx, &resim)
+	if err != nil {
+		return fmt.Errorf("image-cache check: %w", err)
+	}
+	if st.State != omd.JobDone || !st.ImageCacheHit {
+		return fmt.Errorf("image-cache check: job %s: state %s (%s), image-cache hit %v; want a done hit",
+			st.ID, st.State, st.Error, st.ImageCacheHit)
+	}
+	cached, err := c.Image(ctx, st.ID)
+	if err != nil {
+		return fmt.Errorf("image-cache check: %w", err)
+	}
+	if !bytes.Equal(cached, served) {
+		return fmt.Errorf("image-cache check: cached image differs from the first job's (%d vs %d bytes)",
+			len(cached), len(served))
+	}
+	fmt.Fprintf(os.Stderr, "omd: loadsmoke: resubmitted with simulate=%v -> image-cache hit, same %d bytes\n",
+		resim.Simulate, len(cached))
 	return nil
 }
 

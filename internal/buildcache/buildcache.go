@@ -5,11 +5,13 @@
 // spirit of WHOPR-style incremental whole-program builds: unchanged
 // compilation inputs are never recompiled.
 //
-// Entries hold the serialized object-file bytes. A lookup decodes a fresh
+// Entries hold serialized bytes. An object lookup decodes a fresh
 // *objfile.Object, so callers may treat cached results exactly like freshly
-// compiled ones. A Cache is optionally backed by a directory, letting
-// repeated omrepro or benchmark runs across processes skip compilation
-// entirely; with an empty directory name the cache is memory-only.
+// compiled ones; a linked image goes in and comes out as its serialized
+// bytes, one read-only slice shared by every lookup. A Cache is optionally
+// backed by a directory, letting repeated omrepro or benchmark runs across
+// processes skip compilation entirely; with an empty directory name the
+// cache is memory-only.
 //
 // All methods are safe for concurrent use, and every method tolerates a nil
 // receiver (acting as a pass-through with no caching), so callers can thread
@@ -160,17 +162,18 @@ func (c *Cache) Get(key string) (*objfile.Object, bool) {
 }
 
 // Put stores the object under the key, in memory and (when configured) on
-// disk. Disk writes go through a temporary file and rename so that readers
-// never observe a partial entry.
+// disk.
 func (c *Cache) Put(key string, obj *objfile.Object) error {
 	if c == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := obj.Write(&buf); err != nil {
-		return fmt.Errorf("buildcache: serialize %s: %w", obj.Name, err)
-	}
-	data := buf.Bytes()
+	return c.store(key, obj.Encode(), c.entryPath(key))
+}
+
+// store keeps data under the key in memory and, when the cache has a
+// directory, writes it to path through a temporary file and rename so that
+// readers never observe a partial entry.
+func (c *Cache) store(key string, data []byte, path string) error {
 	c.mu.Lock()
 	c.mem[key] = data
 	c.mu.Unlock()
@@ -190,7 +193,7 @@ func (c *Cache) Put(key string, obj *objfile.Object) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("buildcache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), c.entryPath(key)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("buildcache: %w", err)
 	}
@@ -228,7 +231,7 @@ func (c *Cache) entryPath(key string) string {
 // influences the emitted image must feed this key — in particular a changed
 // profile yields a changed key, so a warm rerun can never reuse a layout
 // computed from stale counts.
-func ImageKey(objs []*objfile.Object, variant, profileHash string) (string, error) {
+func ImageKey(objs []*objfile.Object, variant, profileHash string) string {
 	h := sha256.New()
 	writeStr := func(s string) {
 		var n [8]byte
@@ -243,85 +246,58 @@ func ImageKey(objs []*objfile.Object, variant, profileHash string) (string, erro
 	binary.LittleEndian.PutUint64(n[:], uint64(len(objs)))
 	h.Write(n[:])
 	for _, obj := range objs {
-		var buf bytes.Buffer
-		if err := obj.Write(&buf); err != nil {
-			return "", fmt.Errorf("buildcache: serialize %s: %w", obj.Name, err)
-		}
-		binary.LittleEndian.PutUint64(n[:], uint64(buf.Len()))
+		data := obj.Encode()
+		binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
 		h.Write(n[:])
-		h.Write(buf.Bytes())
+		h.Write(data)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)), nil
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// GetImage returns a freshly decoded linked image for the key, if cached.
-func (c *Cache) GetImage(key string) (*objfile.Image, bool) {
+// GetImage returns the serialized linked image stored under the key, if
+// cached. The slice is the cache's own copy, shared by every caller:
+// callers must not modify it. An entry read from the backing directory is
+// decoded once, on that first read, and kept only if it is a well-formed
+// image; a corrupt file (say, a truncated write by a killed process) is a
+// miss, which the caller's PutImage then overwrites.
+func (c *Cache) GetImage(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	data, ok := c.mem[key]
+	c.mu.Unlock()
 	if !ok && c.dir != "" {
 		if b, err := os.ReadFile(c.imagePath(key)); err == nil {
-			data, ok = b, true
-			c.mem[key] = b
-		}
-	}
-	c.mu.Unlock()
-	var im *objfile.Image
-	if ok {
-		i, err := objfile.ReadImage(bytes.NewReader(data))
-		if err != nil {
-			ok = false // corrupt entry behaves like a miss
-		} else {
-			im = i
+			if _, err := objfile.ReadImage(bytes.NewReader(b)); err == nil {
+				data, ok = b, true
+			}
 		}
 	}
 	c.mu.Lock()
 	if ok {
+		if cur, cached := c.mem[key]; cached {
+			data = cur
+		} else {
+			c.mem[key] = data
+		}
 		c.stats.ImageHits++
 	} else {
 		c.stats.ImageMisses++
 	}
 	c.mu.Unlock()
-	return im, ok
+	return data, ok
 }
 
-// PutImage stores a linked image under the key, in memory and (when
-// configured) on disk, with the same atomic-rename discipline as Put.
-func (c *Cache) PutImage(key string, im *objfile.Image) error {
+// PutImage stores a serialized linked image under the key, in memory and
+// (when configured) on disk. The cache keeps data itself, not a copy, and
+// hands the same slice to every GetImage: callers must not modify it
+// afterwards.
+func (c *Cache) PutImage(key string, data []byte) error {
 	if c == nil {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := im.Write(&buf); err != nil {
-		return fmt.Errorf("buildcache: serialize image: %w", err)
-	}
-	data := buf.Bytes()
-	c.mu.Lock()
-	c.mem[key] = data
-	c.mu.Unlock()
-	if c.dir == "" {
-		return nil
-	}
-	tmp, err := os.CreateTemp(c.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("buildcache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("buildcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("buildcache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.imagePath(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("buildcache: %w", err)
-	}
-	return nil
+	return c.store(key, data, c.imagePath(key))
 }
 
 func (c *Cache) imagePath(key string) string {

@@ -51,8 +51,8 @@ func NewProgramCache(maxEntries int, reg *obs.Registry) *ProgramCache {
 }
 
 // ProgramKey derives the cache key for a module set: each module's content
-// hash in link order plus the shared-library marking. It matches what
-// link.Program.Hash would report after Merge+MarkShared of the same inputs.
+// hash in link order plus the shared-library marking, the inputs that
+// determine what Merge+MarkShared of those modules produce.
 func ProgramKey(objs []*objfile.Object, shared ...string) string {
 	h := sha256.New()
 	writeStr := func(s string) {

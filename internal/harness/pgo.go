@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -153,15 +154,17 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	// key folds the profile's content hash, so a changed profile can never
 	// reuse a stale layout; tracing bypasses the cache because the journal
 	// only exists on a live link.
-	key, err := buildcache.ImageKey(all, "om-full+pgo", prof.Hash())
-	if err != nil {
-		return fail("key", err)
-	}
+	key := buildcache.ImageKey(all, "om-full+pgo", prof.Hash())
 	var im *objfile.Image
 	var journal *obs.JournalDoc
 	cacheHit := false
 	if !r.Trace {
-		im, cacheHit = r.Cache.GetImage(key)
+		var data []byte
+		if data, cacheHit = r.Cache.GetImage(key); cacheHit {
+			if im, err = objfile.ReadImage(bytes.NewReader(data)); err != nil {
+				return fail("cache", err)
+			}
+		}
 	}
 	if im == nil {
 		if p, _, err = r.Programs.GetOrMerge(all); err != nil {
@@ -176,7 +179,7 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 			return fail("relink", err)
 		}
 		im, journal = res.Image, res.Journal
-		if err := r.Cache.PutImage(key, im); err != nil {
+		if err := r.Cache.PutImage(key, im.Encode()); err != nil {
 			return fail("cache", err)
 		}
 	}

@@ -9,8 +9,6 @@
 package link
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -59,12 +57,10 @@ type Program struct {
 	// modules are statically linked.
 	Shared []bool
 
-	// hash memoizes the program's content address (Hash); MarkShared
-	// invalidates it. moduleKeys memoizes ModuleKeys, which otherwise
-	// rescans every relocation on each layout round of the OM fixpoint.
-	// Both use atomic.Value so a merged Program stays safe to share
-	// read-only across concurrent links.
-	hash       atomic.Value
+	// moduleKeys memoizes ModuleKeys, which otherwise rescans every
+	// relocation on each layout round of the OM fixpoint. It is an
+	// atomic.Value so a merged Program stays safe to share read-only across
+	// concurrent links.
 	moduleKeys atomic.Value
 }
 
@@ -74,9 +70,8 @@ func (p *Program) IsShared(m int) bool {
 }
 
 // MarkShared flags the named modules as dynamically linked. It is the one
-// post-Merge mutation of a Program, so it invalidates the memoized content
-// hash; callers sharing a Program across concurrent links must finish
-// marking before the first Run.
+// post-Merge mutation of a Program: callers sharing a Program across
+// concurrent links must finish marking before the first Run.
 func (p *Program) MarkShared(moduleNames ...string) {
 	if p.Shared == nil {
 		p.Shared = make([]bool, len(p.Objects))
@@ -88,35 +83,6 @@ func (p *Program) MarkShared(moduleNames ...string) {
 			}
 		}
 	}
-	p.hash.Store("")
-}
-
-// Hash returns the program's content address: the hash of every module's
-// content hash in merge order, the shared-library marking, and the entry
-// symbol. Two Programs with equal hashes lift to identical symbolic form.
-// The result is memoized; MarkShared invalidates it.
-func (p *Program) Hash() string {
-	if h, ok := p.hash.Load().(string); ok && h != "" {
-		return h
-	}
-	d := sha256.New()
-	writeStr := func(s string) {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		d.Write(n[:])
-		d.Write([]byte(s))
-	}
-	writeStr("link-program/v1")
-	writeStr(p.EntryName)
-	for m, obj := range p.Objects {
-		writeStr(obj.Hash())
-		if p.IsShared(m) {
-			writeStr("shared")
-		}
-	}
-	h := fmt.Sprintf("%x", d.Sum(nil))
-	p.hash.Store(h)
-	return h
 }
 
 // Resolve returns the resolution of module m's symbol s.

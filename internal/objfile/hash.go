@@ -15,13 +15,7 @@ func (o *Object) Hash() string {
 	if h, ok := o.hash.Load().(string); ok {
 		return h
 	}
-	d := sha256.New()
-	if err := o.Write(d); err != nil {
-		// Write to a hasher cannot fail for a structurally valid object;
-		// an unserializable one gets a non-colliding poison key.
-		return fmt.Sprintf("!unserializable:%v", err)
-	}
-	h := fmt.Sprintf("%x", d.Sum(nil))
+	h := fmt.Sprintf("%x", sha256.Sum256(o.Encode()))
 	o.hash.Store(h)
 	return h
 }

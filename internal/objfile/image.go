@@ -150,37 +150,41 @@ func (im *Image) TextSegments() []*Segment {
 	return out
 }
 
-// Write serializes the image.
+// Encode returns the image's serialized form in one buffer of exactly its
+// length.
+func (im *Image) Encode() []byte { return encode(im.encode) }
+
+// Write writes the image's serialized form (Encode) to w.
 func (im *Image) Write(w io.Writer) error {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	cw.bytesRaw([]byte(imgMagic))
-	cw.u32(version)
-	cw.u64(im.Entry)
-	cw.u64(uint64(len(im.Segments)))
+	_, err := w.Write(im.Encode())
+	return err
+}
+
+func (im *Image) encode(e *encoder) {
+	e.raw(imgMagic)
+	e.u32(version)
+	e.u64(im.Entry)
+	e.u64(uint64(len(im.Segments)))
 	for _, s := range im.Segments {
-		cw.str(s.Name)
-		cw.u64(s.Addr)
-		cw.bytes(s.Data)
-		cw.u64(s.ZeroSize)
+		e.str(s.Name)
+		e.u64(s.Addr)
+		e.bytes(s.Data)
+		e.u64(s.ZeroSize)
 	}
-	cw.u64(uint64(len(im.Symbols)))
+	e.u64(uint64(len(im.Symbols)))
 	for _, s := range im.Symbols {
-		cw.str(s.Name)
-		cw.u64(s.Addr)
-		cw.u64(s.Size)
-		cw.u8(uint8(s.Kind))
-		cw.u64(s.GP)
+		e.str(s.Name)
+		e.u64(s.Addr)
+		e.u64(s.Size)
+		e.u8(uint8(s.Kind))
+		e.u64(s.GP)
 	}
-	cw.u64(uint64(len(im.GATs)))
+	e.u64(uint64(len(im.GATs)))
 	for _, g := range im.GATs {
-		cw.u64(g.Start)
-		cw.u64(g.End)
-		cw.u64(g.GP)
+		e.u64(g.Start)
+		e.u64(g.End)
+		e.u64(g.GP)
 	}
-	if cw.err != nil {
-		return cw.err
-	}
-	return cw.w.Flush()
 }
 
 // ReadImage deserializes an image written by Write.

@@ -15,47 +15,65 @@ const (
 	version  = 1
 )
 
-type countWriter struct {
-	w   *bufio.Writer
-	err error
+// encoder serializes the binary format. An encoding runs its fields through
+// the encoder twice (see encode): the first pass, with buf nil, only counts
+// bytes; the second appends into a buffer allocated at exactly that count,
+// so the format is described once and no buffer ever grows.
+type encoder struct {
+	n   int
+	buf []byte
 }
 
-func (cw *countWriter) u8(v uint8) {
-	if cw.err == nil {
-		cw.err = cw.w.WriteByte(v)
+// encode returns fields' encoding in one exact-sized slice.
+func encode(fields func(*encoder)) []byte {
+	var size encoder
+	fields(&size)
+	e := encoder{buf: make([]byte, 0, size.n)}
+	fields(&e)
+	return e.buf
+}
+
+func (e *encoder) u8(v uint8) {
+	e.n++
+	if e.buf != nil {
+		e.buf = append(e.buf, v)
 	}
 }
 
-func (cw *countWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	cw.bytesRaw(b[:])
-}
-
-func (cw *countWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	cw.bytesRaw(b[:])
-}
-
-func (cw *countWriter) i64(v int64) { cw.u64(uint64(v)) }
-
-func (cw *countWriter) bytesRaw(b []byte) {
-	if cw.err == nil {
-		_, cw.err = cw.w.Write(b)
+func (e *encoder) u32(v uint32) {
+	e.n += 4
+	if e.buf != nil {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 	}
 }
 
-func (cw *countWriter) bytes(b []byte) {
-	cw.u64(uint64(len(b)))
-	cw.bytesRaw(b)
+func (e *encoder) u64(v uint64) {
+	e.n += 8
+	if e.buf != nil {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	}
 }
 
-func (cw *countWriter) str(s string) {
-	cw.u64(uint64(len(s)))
-	if cw.err == nil {
-		_, cw.err = cw.w.WriteString(s)
+func (e *encoder) i64(v int64) { e.u64(uint64(v)) }
+
+func (e *encoder) raw(s string) {
+	e.n += len(s)
+	if e.buf != nil {
+		e.buf = append(e.buf, s...)
 	}
+}
+
+func (e *encoder) bytes(b []byte) {
+	e.u64(uint64(len(b)))
+	e.n += len(b)
+	if e.buf != nil {
+		e.buf = append(e.buf, b...)
+	}
+}
+
+func (e *encoder) str(s string) {
+	e.u64(uint64(len(s)))
+	e.raw(s)
 }
 
 // reader decodes the binary format. Fixed-width fields are read in place
@@ -214,26 +232,34 @@ func prealloc[T any](n uint64) []T {
 // maxBlob bounds any single serialized byte array, as a corruption guard.
 const maxBlob = 1 << 30
 
-// Write serializes the object module.
+// Encode returns the object module's serialized form in one buffer of
+// exactly its length.
+func (o *Object) Encode() []byte { return encode(o.encode) }
+
+// Write writes the object module's serialized form (Encode) to w.
 func (o *Object) Write(w io.Writer) error {
-	cw := &countWriter{w: bufio.NewWriter(w)}
-	cw.bytesRaw([]byte(objMagic))
-	cw.u32(version)
-	cw.str(o.Name)
+	_, err := w.Write(o.Encode())
+	return err
+}
+
+func (o *Object) encode(e *encoder) {
+	e.raw(objMagic)
+	e.u32(version)
+	e.str(o.Name)
 	for k := SectionKind(0); k < NumSections; k++ {
 		s := &o.Sections[k]
-		cw.u64(s.Size)
-		cw.bytes(s.Data)
+		e.u64(s.Size)
+		e.bytes(s.Data)
 	}
-	cw.u64(uint64(len(o.Symbols)))
+	e.u64(uint64(len(o.Symbols)))
 	for _, sym := range o.Symbols {
-		cw.str(sym.Name)
-		cw.u8(uint8(sym.Kind))
-		cw.u8(uint8(sym.Section))
-		cw.u64(sym.Value)
-		cw.u64(sym.End)
-		cw.u64(sym.Size)
-		cw.u64(sym.Align)
+		e.str(sym.Name)
+		e.u8(uint8(sym.Kind))
+		e.u8(uint8(sym.Section))
+		e.u64(sym.Value)
+		e.u64(sym.End)
+		e.u64(sym.Size)
+		e.u64(sym.Align)
 		flags := uint8(0)
 		if sym.Exported {
 			flags |= 1
@@ -241,21 +267,17 @@ func (o *Object) Write(w io.Writer) error {
 		if sym.UsesGP {
 			flags |= 2
 		}
-		cw.u8(flags)
+		e.u8(flags)
 	}
-	cw.u64(uint64(len(o.Relocs)))
+	e.u64(uint64(len(o.Relocs)))
 	for _, r := range o.Relocs {
-		cw.u8(uint8(r.Kind))
-		cw.u8(uint8(r.Section))
-		cw.u64(r.Offset)
-		cw.u32(uint32(r.Symbol))
-		cw.i64(r.Addend)
-		cw.u64(r.Extra)
+		e.u8(uint8(r.Kind))
+		e.u8(uint8(r.Section))
+		e.u64(r.Offset)
+		e.u32(uint32(r.Symbol))
+		e.i64(r.Addend)
+		e.u64(r.Extra)
 	}
-	if cw.err != nil {
-		return cw.err
-	}
-	return cw.w.Flush()
 }
 
 // Read deserializes an object module written by Write.

@@ -42,6 +42,9 @@ func TestObjectRoundTrip(t *testing.T) {
 	if err := o.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if enc := o.Encode(); len(enc) != cap(enc) || len(enc) != buf.Len() {
+		t.Errorf("Write gave %d bytes, Encode %d of a %d-byte buffer", buf.Len(), len(enc), cap(enc))
+	}
 	back, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,9 @@ func goldenMatrix() []matrixPoint {
 // merged program, taken from the program cache and shared read-only, serves
 // every (options, profile) point of the golden matrix concurrently, and each
 // Run's image is byte-identical to a Run over a freshly merged program. No
-// Run may mutate the shared program: its hash, module bytes and commons are
-// the same afterwards. Two concurrent sweeps make every point overlap with
-// every other.
+// Run may mutate the shared program: its modules' hashes and bytes and its
+// commons are the same afterwards. Two concurrent sweeps make every point
+// overlap with every other.
 func TestSharedProgramRunsByteIdentical(t *testing.T) {
 	prof := collectProfile(t)
 	ctx := context.Background()
@@ -56,6 +56,12 @@ func TestSharedProgramRunsByteIdentical(t *testing.T) {
 			t.Fatalf("%s: fresh run: %v", pt.name, err)
 		}
 		want[pt.name] = imageBytes(t, res.Image)
+		// Write's output is exactly as long as the encoder's sizing pass
+		// said: the buffer Encode allocated never grew and was filled.
+		if enc := res.Image.Encode(); len(enc) != cap(enc) || len(want[pt.name]) != cap(enc) {
+			t.Errorf("%s: Write gave %d bytes, Encode %d of a %d-byte buffer",
+				pt.name, len(want[pt.name]), len(enc), cap(enc))
+		}
 	}
 
 	pc := buildcache.NewProgramCache(0, nil)
@@ -63,9 +69,11 @@ func TestSharedProgramRunsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func() (string, [][]byte, string) {
+	snapshot := func() ([]string, [][]byte, string) {
+		hashes := make([]string, len(p.Objects))
 		mods := make([][]byte, len(p.Objects))
 		for i, obj := range p.Objects {
+			hashes[i] = obj.Hash()
 			var buf bytes.Buffer
 			if err := obj.Write(&buf); err != nil {
 				t.Fatal(err)
@@ -76,9 +84,9 @@ func TestSharedProgramRunsByteIdentical(t *testing.T) {
 		for _, c := range p.Commons {
 			fmt.Fprintf(&commons, "%s/%d/%d;", c.Name, c.Size, c.Align)
 		}
-		return p.Hash(), mods, commons.String()
+		return hashes, mods, commons.String()
 	}
-	hash, mods, commons := snapshot()
+	hashes, mods, commons := snapshot()
 
 	var wg sync.WaitGroup
 	for sweep := 0; sweep < 2; sweep++ {
@@ -103,11 +111,11 @@ func TestSharedProgramRunsByteIdentical(t *testing.T) {
 	}
 	wg.Wait()
 
-	hash2, mods2, commons2 := snapshot()
-	if hash2 != hash {
-		t.Errorf("shared program hash changed: %s -> %s", hash, hash2)
-	}
+	hashes2, mods2, commons2 := snapshot()
 	for i := range mods {
+		if hashes2[i] != hashes[i] {
+			t.Errorf("module %s hash changed: %s -> %s", p.Objects[i].Name, hashes[i], hashes2[i])
+		}
 		if !bytes.Equal(mods[i], mods2[i]) {
 			t.Errorf("module %s of the shared program changed under concurrent Runs", p.Objects[i].Name)
 		}

@@ -28,11 +28,30 @@ type Client struct {
 	hc   *http.Client
 }
 
+// defaultHTTPClient is the client New uses when given none. Its transport
+// buffers each connection's writes in submitBuffer bytes, which hold a
+// typical submit body: net/http then reads a body straight into that buffer.
+// With the default 4 KiB buffer it hands all but the first few KiB of every
+// body to the connection through a copy buffer of the body's size,
+// allocated per request.
+var defaultHTTPClient = &http.Client{Transport: submitTransport()}
+
+// submitBuffer is the write buffer of defaultHTTPClient's connections: an
+// upload of a program's modules runs to tens of KiB.
+const submitBuffer = 64 << 10
+
+func submitTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.WriteBufferSize = submitBuffer
+	return t
+}
+
 // New returns a client for the server at baseURL (e.g. "http://localhost:7333").
-// httpClient nil selects http.DefaultClient.
+// httpClient nil selects a client whose connections buffer a whole typical
+// submit body.
 func New(baseURL string, httpClient *http.Client) *Client {
 	if httpClient == nil {
-		httpClient = http.DefaultClient
+		httpClient = defaultHTTPClient
 	}
 	return &Client{base: strings.TrimRight(baseURL, "/"), hc: httpClient}
 }

@@ -4,7 +4,10 @@ package omd
 // package (which must live outside this package to import the client
 // without a cycle).
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // SetExecGate installs a hook that runs at the top of every execution; set
 // it before the first submission (the queue-channel handoff orders the
@@ -40,6 +43,24 @@ func (s *Server) SubmitProbe(js *JobSpec) (bool, error) {
 		return false, err
 	}
 	return rec.memoHit, nil
+}
+
+// ExecuteProbe resolves the spec and returns a function that runs one
+// execution of it directly — no admission, memo, trace or HTTP — and
+// reports the result's image bytes and whether the image cache served them,
+// so tests can pin what an execution costs apart from resolving its spec.
+func (s *Server) ExecuteProbe(js *JobSpec) (func(context.Context) ([]byte, bool, error), error) {
+	rs, err := js.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context) ([]byte, bool, error) {
+		res, err := s.execute(ctx, rs, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		return res.image, res.imageCacheHit, nil
+	}, nil
 }
 
 // Submission body bounds, for the tests that probe them.

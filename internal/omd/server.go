@@ -131,11 +131,13 @@ type jobRecord struct {
 	errMsg    string
 	fl        *flight // nil once terminal
 
-	// trace is the job's span tree, rooted at request receipt. wait is the
-	// open queue-wait (or attached-wait) span; traceDoc is the immutable
-	// snapshot taken when the job reaches a terminal state, also pushed into
-	// the flight recorder. queueWait/exec are the derived phase durations
-	// surfaced in JobStatus.
+	// trace is the job's live span tree, rooted at request receipt, and
+	// wait its open queue-wait (or attached-wait) span. traceDoc is the
+	// immutable snapshot taken when the job reaches a terminal state, also
+	// pushed into the flight recorder; taking it drops trace and wait, so a
+	// terminal record holds one copy of its spans. queueWait/exec are the
+	// derived phase durations surfaced in JobStatus.
+	traceID   string
 	trace     *obs.Trace
 	wait      *obs.Span
 	traceDoc  *obs.TraceDoc
@@ -297,6 +299,7 @@ func (s *Server) submit(rs *resolved, wait bool, traceID string, reqStart time.T
 	if traceID == "" {
 		traceID = "t-" + rec.id
 	}
+	rec.traceID = traceID
 	rec.trace = obs.NewTrace(traceID, "job", reqStart, s.now)
 	rec.trace.Root().SetAttr("job", rec.id)
 	admission := rec.trace.Root().ChildAt("admission", reqStart)
@@ -311,7 +314,7 @@ func (s *Server) submit(rs *resolved, wait bool, traceID string, reqStart time.T
 		// admission span it contains.
 		s.finishTrace(rec, s.now())
 		s.slog.Info("omd job done",
-			"trace", rec.trace.ID(), "job", rec.id,
+			"trace", rec.traceID, "job", rec.id,
 			"state", string(rec.state), "memo_hit", true)
 		s.storeJob(rec)
 		return rec, nil, nil
@@ -355,8 +358,9 @@ func (s *Server) submit(rs *resolved, wait bool, traceID string, reqStart time.T
 }
 
 // finishTrace closes a terminal job's span tree, snapshots it, derives the
-// phase durations surfaced in JobStatus, and pushes the document into the
-// flight recorder. Callers hold mu; now is the terminal instant.
+// phase durations surfaced in JobStatus, pushes the document into the
+// flight recorder, and drops the live tree the document now stands for.
+// Callers hold mu; now is the terminal instant.
 func (s *Server) finishTrace(rec *jobRecord, now time.Time) {
 	if rec.trace == nil || rec.traceDoc != nil {
 		return
@@ -373,6 +377,7 @@ func (s *Server) finishTrace(rec *jobRecord, now time.Time) {
 		}
 	}
 	s.rec.Record(rec.traceDoc)
+	rec.trace, rec.wait = nil, nil
 }
 
 func (s *Server) storeJob(rec *jobRecord) {
@@ -406,8 +411,11 @@ func (s *Server) runFlight(f *flight) {
 	if gate := s.execGate; gate != nil {
 		gate(f.key)
 	}
-	now := s.now()
+	// Read the pickup instant under mu: submit holds mu from queueing the
+	// flight until it has opened the lead's queue-wait span, so the wait
+	// can never end before it began.
 	s.mu.Lock()
+	now := s.now()
 	s.running++
 	s.reg.SetGauge("omd/queue-depth", float64(len(s.queue)))
 	s.reg.SetGauge("omd/workers-busy", float64(s.running))
@@ -566,7 +574,8 @@ func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) 
 
 // execute runs one link job end to end, warmest path first: a cached image
 // (keyed on program, options and profile, so a repeat that differs only in
-// simulation finds it) needs nothing resolved at all; a resident decoded
+// simulation finds it) needs nothing resolved at all, and its bytes are
+// served as stored, decoded only to simulate; a resident decoded
 // program skips compile, upload decode, and merge, and om.Run lifts it
 // fresh (cloning a cached lifted form would cost more than the lift) and
 // runs the passes, layout and emission. A traced or checked job bypasses
@@ -599,16 +608,18 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	}
 	if imageKey != "" && !shadow {
 		ics := sp.Child("image-cache")
-		im, ok := s.cache.GetImage(imageKey)
+		data, ok := s.cache.GetImage(imageKey)
 		ics.SetAttr("hit", strconv.FormatBool(ok))
 		ics.End()
 		if ok {
-			res := &result{imageCacheHit: true}
-			var err error
-			if res.image, err = imageBytes(im); err != nil {
-				return nil, err
-			}
+			// The cached bytes are the image; only the simulator needs it
+			// decoded.
+			res := &result{image: data, imageCacheHit: true}
 			if rs.spec.Simulate {
+				im, err := objfile.ReadImage(bytes.NewReader(data))
+				if err != nil {
+					return nil, err
+				}
 				if res.sim, err = s.simulate(ctx, im, rs, sp); err != nil {
 					return nil, err
 				}
@@ -655,17 +666,17 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 			return nil, err
 		}
 	}
+	// The image is encoded once; the result and the image cache share
+	// that one slice.
+	res.image = omres.Image.Encode()
 	if imageKey != "" {
-		if err := s.cache.PutImage(imageKey, omres.Image); err != nil {
+		if err := s.cache.PutImage(imageKey, res.image); err != nil {
 			return nil, err
 		}
 	}
 	if !rs.traced {
 		// The journal, if any, was forced for the check only.
 		res.journal = nil
-	}
-	if res.image, err = imageBytes(omres.Image); err != nil {
-		return nil, err
 	}
 	if rs.spec.Simulate {
 		if res.sim, err = s.simulate(ctx, omres.Image, rs, sp); err != nil {
@@ -757,14 +768,6 @@ func (s *Server) check(chk *verify.Checker, omres *om.Result, sp *obs.Span, shad
 	return doc, nil
 }
 
-func imageBytes(im *objfile.Image) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := im.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Drain stops admissions and waits for every queued and running job to
 // finish; the context bounds the wait, after which in-flight work is
 // hard-canceled. Drain is idempotent and safe to call concurrently.
@@ -808,7 +811,7 @@ func (s *Server) status(rec *jobRecord) JobStatus {
 		MemoHit:     rec.memoHit,
 		Error:       rec.errMsg,
 		SubmittedAt: rec.submitted,
-		TraceID:     rec.trace.ID(),
+		TraceID:     rec.traceID,
 		QueueWait:   rec.queueWait,
 		Exec:        rec.exec,
 	}

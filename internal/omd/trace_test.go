@@ -381,3 +381,107 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	defer lw.mu.Unlock()
 	return lw.w.Write(p)
 }
+
+// TestCanceledLeadPickup: a terminal job record keeps only its trace
+// document, while a queued job's live span tree must last until a worker
+// picks its flight up. Here the lead's waiter disconnects while an earlier
+// job holds the only worker, which cancels the queued flight, and a
+// follower then attaches to it. At pickup the flight fails with the
+// cancellation; both records end failed, each with a complete trace under
+// its trace id; and the same spec then links normally.
+func TestCanceledLeadPickup(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	if err := s.PrewarmLib(); err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var gateOnce sync.Once
+	s.SetExecGate(func(string) {
+		gateOnce.Do(func() { <-release })
+	})
+	c := startHTTP(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	blocker, err := c.Submit(ctx, &omd.JobSpec{Version: omd.SpecVersion, Benchmark: "compress"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &omd.JobSpec{Version: omd.SpecVersion, Benchmark: "li"}
+	waitCtx, disconnect := context.WithCancel(ctx)
+	waitErr := make(chan error, 1)
+	go func() {
+		_, err := c.SubmitTraced(waitCtx, spec, "lead-trace", true)
+		waitErr <- err
+	}()
+	poll := func(what string, done func(*omd.MetricsSnapshot, []omd.JobStatus) bool) {
+		t.Helper()
+		for {
+			snap, err := c.Metrics(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, err := c.List(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done(snap, jobs) {
+				return
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	poll("the lead's admission", func(_ *omd.MetricsSnapshot, jobs []omd.JobStatus) bool { return len(jobs) == 2 })
+	disconnect()
+	if err := <-waitErr; err == nil {
+		t.Fatal("SubmitWait returned nil after its client disconnected")
+	}
+	poll("the abandoned flight", func(snap *omd.MetricsSnapshot, _ []omd.JobStatus) bool {
+		return snap.Counter("omd/flights-abandoned") == 1
+	})
+	follower, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !follower.Coalesced {
+		t.Fatal("follower did not attach to the queued flight")
+	}
+	close(release)
+	if _, err := c.Wait(ctx, follower.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Wait(ctx, blocker.ID, 5*time.Millisecond); err != nil || st.State != omd.JobDone {
+		t.Fatalf("blocking job: %v, err %v", st, err)
+	}
+
+	jobs, err := c.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 3 || jobs[1].TraceID != "lead-trace" {
+		t.Fatalf("jobs %+v, want the blocker, the lead (trace lead-trace) and the follower", jobs)
+	}
+	for _, st := range jobs[1:] {
+		if st.State != omd.JobFailed || !strings.Contains(st.Error, "canceled") {
+			t.Errorf("job %s: state %s (%q), want failed with the cancellation", st.ID, st.State, st.Error)
+		}
+		doc, err := c.Trace(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.TraceID != st.TraceID || doc.Find("execute") == nil || doc.Root.Attrs["state"] != string(omd.JobFailed) {
+			t.Errorf("job %s: trace %s lacks its execution or terminal state:\n%s", st.ID, doc.TraceID, doc.Render())
+		}
+	}
+
+	again, err := c.SubmitWait(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.State != omd.JobDone || again.MemoHit {
+		t.Errorf("resubmission after the canceled flight: state %s, memo hit %v; want a fresh link", again.State, again.MemoHit)
+	}
+}

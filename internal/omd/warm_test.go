@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +116,52 @@ func TestImageCacheIgnoresSimulate(t *testing.T) {
 	}
 	if doc.Find("om") != nil {
 		t.Errorf("image-cache-served job ran om:\n%s", doc.Render())
+	}
+	fresh, err := c.Image(ctx, first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, err := c.Image(ctx, second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, fresh) || second.ImageBytes != len(fresh) {
+		t.Errorf("image-cache-served job's image (%d bytes) differs from the fresh link's (%d bytes)",
+			len(served), len(fresh))
+	}
+}
+
+// TestImageCacheHitAllocs: an image-cache hit serves the cached bytes as
+// they are. A fresh link stores its one encoding in both the cache and its
+// result; an execution served from the cache returns that same slice and
+// allocates less than the image's length, where decoding the entry and
+// encoding it again would cost at least twice that.
+func TestImageCacheHitAllocs(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	ctx := context.Background()
+	exec, err := s.ExecuteProbe(&omd.JobSpec{Version: omd.SpecVersion, Benchmark: "li"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, hit, err := exec(ctx)
+	if err != nil || hit {
+		t.Fatalf("first execution: cache hit %v, err %v; want a fresh link", hit, err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		served, hit, err := exec(ctx)
+		if err != nil || !hit {
+			t.Fatalf("repeat %d: cache hit %v, err %v; want an image-cache hit", i, hit, err)
+		}
+		if len(served) != len(fresh) || &served[0] != &fresh[0] {
+			t.Fatalf("repeat %d: served a copy, not the slice the fresh link cached", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perHit := (after.TotalAlloc - before.TotalAlloc) / runs; perHit >= uint64(len(fresh)) {
+		t.Errorf("an image-cache hit allocates %d bytes, want less than the %d-byte image", perHit, len(fresh))
 	}
 }
 
