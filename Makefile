@@ -20,11 +20,11 @@ test:
 	$(GO) test ./...
 
 # The parallel harness, OM's concurrent analysis, the omd service
-# (coalescing, queue, drain), the warm-path caches (stage stores and the
-# resident program cache, whose programs concurrent links share read-only,
-# pinned by om's TestSharedProgramRunsByteIdentical), the telemetry
-# layer (concurrent span recording, registry snapshots, the flight
-# recorder ring), and the verification engine must stay race-clean.
+# (coalescing, queue, drain, panic recovery), the build cache, concurrent
+# links of one shared program (om's TestSharedProgramRunsByteIdentical:
+# Run never mutates its input), the telemetry layer (concurrent span
+# recording, registry snapshots, the flight recorder ring), and the
+# verification engine must stay race-clean.
 race:
 	$(GO) test -race ./internal/harness ./internal/om ./internal/omd \
 		./internal/link ./internal/buildcache ./internal/obs ./internal/verify \
@@ -86,13 +86,12 @@ bench-smoke:
 		-benchtime 1x -count 1 . ./internal/objfile
 
 # bench-link runs the link benchmarks — cold decode+merge+link of li and of
-# a progen 4x program, relinks through the resident caches, an in-process
-# omd job served from the image cache (progen 4x), the cold front end's
+# a progen 4x program, an in-process omd job served from the image cache (progen 4x), the cold front end's
 # object decode and lift, and the static check of an OM-full image at 1x
 # and 16x — and records them, with allocation counts, as BENCH_link.json.
 # Commit the refreshed file when touching the link pipeline.
 bench-link:
-	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)|BenchmarkServeImageCacheHit|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold|BenchmarkServeImageCacheHit|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
 		-benchmem -benchtime 2s -count 1 . ./internal/objfile ./internal/dataflow \
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
@@ -103,7 +102,7 @@ bench-link:
 # the split image in axsim, and requires its output to equal an OM-none
 # link's output.
 linkbench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLink(Cold|Warm)' -benchtime 1x -count 1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold' -benchtime 1x -count 1 .
 	@dir=$$(mktemp -d); \
 	printf 'long print(long x);\nlong g;\nlong big[4096];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i * 400] = g; i = i + 1; } print(g); print(big[3600]); return 0; }\n' > $$dir/t.tc; \
 	$(GO) build -o $$dir/ ./cmd/tcc ./cmd/om ./cmd/axsim && \

@@ -196,10 +196,9 @@ func BenchmarkFig6Dynamic(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
 }
 
-// --- Link benchmarks. Cold is the daemon's worst case — decode every
-// uploaded module, merge, and link from nothing. Warm relinks a program the
-// resident program cache already holds, so it skips decode and merge and
-// pays for the lift, the passes, layout and emission.
+// --- Link benchmarks. Cold is what every daemon job that misses the result
+// memo and the image cache pays: decode every uploaded module, merge, and
+// link from nothing.
 
 // serializeObjects renders each module to the wire bytes a daemon receives.
 func serializeObjects(b *testing.B, objs []*objfile.Object) [][]byte {
@@ -300,32 +299,6 @@ func BenchmarkServeImageCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(uint64(i + 1))
-	}
-}
-
-// BenchmarkLinkWarm relinks li through the resident program cache, cycling
-// option sets so no two consecutive relinks share options: the daemon's
-// steady-state relink of a program it has seen.
-func BenchmarkLinkWarm(b *testing.B) {
-	objs := buildObjects(b, "li")
-	pc := buildcache.NewProgramCache(0, nil)
-	optSets := [][]om.Option{
-		{om.WithLevel(om.LevelFull)},
-		{om.WithAblation(om.Ablation{NoCommonSort: true})},
-	}
-	run := func(opts []om.Option) {
-		p, _, err := pc.GetOrMerge(objs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := om.Run(context.Background(), p, opts...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run(optSets[0])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(optSets[i%len(optSets)])
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Benchmarks that report an `inst/s` metric (the simulator suite does) get
 // instructions_per_sec filled in; runs under -benchmem also record
-// bytes_per_op and allocs_per_op (the warm-link record tracks both). With
+// bytes_per_op and allocs_per_op (the link records track both). With
 // -baseline, a previous record is embedded under "baseline" so a single
 // file shows the perf trajectory.
 //

@@ -17,9 +17,9 @@
 //	omctl top    [-server url] [-n jobs]
 //
 // metrics prints a human-readable summary of the server's queue, build
-// cache, warm-path stage stores (resident program, lifted form) with
-// hit rates, and phase timers with p50/p90/p99 latencies estimated from the
-// histogram buckets; -json prints the raw snapshot instead.
+// cache hit rates, om pipeline counters, and phase timers with p50/p90/p99
+// latencies estimated from the histogram buckets; -json prints the raw
+// snapshot instead.
 // trace renders a job's span tree — one line per span with duration and
 // percentage of the job total — straight from GET /jobs/{id}/trace.
 // check prints the om-check/v1 document of a job submitted with `submit
@@ -43,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -224,12 +223,6 @@ func renderTop(snap *omd.MetricsSnapshot, jobs []omd.JobStatus, recent int) {
 	c := snap.Cache
 	fmt.Printf("object cache: %s   image cache: %s\n",
 		rate(c.Hits, c.Misses), rate(c.ImageHits, c.ImageMisses))
-	for _, name := range stageNames(snap) {
-		hits, misses := snap.Counter("stage/"+name+"/hits"), snap.Counter("stage/"+name+"/misses")
-		if hits+misses > 0 {
-			fmt.Printf("stage %-8s %s\n", name+":", rate(hits, misses))
-		}
-	}
 
 	if recent > 0 && len(jobs) > 0 {
 		fmt.Printf("recent jobs:\n")
@@ -255,23 +248,6 @@ func renderTop(snap *omd.MetricsSnapshot, jobs []omd.JobStatus, recent int) {
 	}
 }
 
-// stageNames lists the warm-path stage stores present in the snapshot, in
-// metric order; each reports as stage/<name>/{hits,misses,evictions}.
-func stageNames(snap *omd.MetricsSnapshot) []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, e := range snap.Metrics {
-		if e.Kind != "counter" || !strings.HasPrefix(e.Name, "stage/") {
-			continue
-		}
-		if name, _, ok := strings.Cut(strings.TrimPrefix(e.Name, "stage/"), "/"); ok && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
 // timerFor returns a named timer's stats from the snapshot, nil if absent.
 func timerFor(snap *omd.MetricsSnapshot, name string) *obs.TimerStats {
 	for _, e := range snap.Metrics {
@@ -283,8 +259,7 @@ func timerFor(snap *omd.MetricsSnapshot, name string) *obs.TimerStats {
 }
 
 // renderMetrics prints the snapshot for humans: queue and pool state, the
-// object/image build cache, every warm-path stage store with its hit rate,
-// the om pipeline counters, and the phase timers.
+// object/image build cache, the om pipeline counters, and the phase timers.
 func renderMetrics(snap *omd.MetricsSnapshot) {
 	q := snap.Queue
 	state := "accepting"
@@ -297,12 +272,6 @@ func renderMetrics(snap *omd.MetricsSnapshot) {
 	fmt.Printf("object cache: %s (%d from disk), %d compiles\n",
 		rate(c.Hits, c.Misses), c.DiskHits, c.Misses)
 	fmt.Printf("image cache:  %s\n", rate(c.ImageHits, c.ImageMisses))
-
-	for _, name := range stageNames(snap) {
-		fmt.Printf("stage %-8s %s, %d evictions\n", name+":",
-			rate(snap.Counter("stage/"+name+"/hits"), snap.Counter("stage/"+name+"/misses")),
-			snap.Counter("stage/"+name+"/evictions"))
-	}
 
 	if procs := snap.Counter("om/lift/procs"); procs > 0 {
 		fmt.Printf("om: %d modules decoded; %d procs lifted; %d passed in %d fixpoint rounds\n",

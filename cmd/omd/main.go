@@ -320,7 +320,7 @@ func checkExecutedTrace(ctx context.Context, c *client.Client) error {
 	// that do real work (cache lookups can legitimately round to zero).
 	present := []string{
 		"admission", "queue-wait", "execute",
-		"program-cache", "compile", "merge",
+		"compile", "merge",
 		"om", "om/lift", "om/passes", "om/emit",
 	}
 	positive := map[string]bool{

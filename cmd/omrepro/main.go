@@ -84,10 +84,6 @@ func main() {
 			os.Exit(1)
 		}
 		ropts = append(ropts, harness.WithCache(cache))
-		// Matrix cells relink the same merged modules under different
-		// options; the resident program cache makes every cell after the
-		// first skip decode and merge.
-		ropts = append(ropts, harness.WithProgramCache(buildcache.NewProgramCache(0, reg)))
 	}
 	r, err := harness.New(ropts...)
 	if err != nil {

@@ -132,11 +132,6 @@ type Runner struct {
 	// harness/link, harness/sim), build-cache traffic counters, and the
 	// worker-pool utilization gauge for the configured parallelism.
 	Metrics *obs.Registry
-	// Programs, when non-nil, keeps merged link.Programs resident by module
-	// content hash, so matrix cells (and repeated runs inside one process)
-	// that link the same modules skip re-decoding and re-merging. Entries
-	// are shared read-only; nil merges fresh every time.
-	Programs *buildcache.ProgramCache
 	// Trace collects a decision journal for every OM-linked matrix cell
 	// (Measurement.Journal).
 	Trace bool
@@ -173,12 +168,6 @@ func WithParallelism(n int) RunnerOption {
 // disables caching (the default).
 func WithCache(c *buildcache.Cache) RunnerOption {
 	return func(r *Runner) { r.Cache = c }
-}
-
-// WithProgramCache keeps merged programs resident across cells and runs,
-// keyed by module content; nil disables residency (the default).
-func WithProgramCache(pc *buildcache.ProgramCache) RunnerOption {
-	return func(r *Runner) { r.Programs = pc }
 }
 
 // WithLogger routes progress lines to l; nil discards them (the default).
@@ -367,7 +356,7 @@ func (r *Runner) linkVariant(ctx context.Context, objs []*objfile.Object, mode L
 		case OMFullSched:
 			opts = append(opts, om.WithLevel(om.LevelFull), om.WithSchedule(true))
 		}
-		p, _, err := r.Programs.GetOrMerge(all)
+		p, err := link.Merge(all)
 		if err != nil {
 			return nil, nil, nil, 0, err
 		}

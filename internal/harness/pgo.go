@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/buildcache"
+	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/om"
@@ -119,11 +120,14 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	}
 	all := append(append([]*objfile.Object(nil), objs...), lib...)
 
-	// Training run: instrumented build, trap counts, call-edge profile.
-	p, _, err := r.Programs.GetOrMerge(all)
+	// One merged program serves the training, baseline and relink runs:
+	// om.Run never mutates its input.
+	p, err := link.Merge(all)
 	if err != nil {
 		return fail("merge", err)
 	}
+
+	// Training run: instrumented build, trap counts, call-edge profile.
 	ires, err := om.Run(ctx, p, om.WithInstrumentation())
 	if err != nil {
 		return fail("instrument", err)
@@ -138,9 +142,6 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	// Baseline: OM-full without layout, under the scaled I-cache.
 	cfg := r.SimConfig
 	cfg.ICacheBytes = PGOICacheBytes
-	if p, _, err = r.Programs.GetOrMerge(all); err != nil {
-		return fail("merge", err)
-	}
 	bres, err := om.Run(ctx, p, om.WithLevel(om.LevelFull), om.WithMetrics(r.Metrics))
 	if err != nil {
 		return fail("baseline", err)
@@ -167,9 +168,6 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 		}
 	}
 	if im == nil {
-		if p, _, err = r.Programs.GetOrMerge(all); err != nil {
-			return fail("merge", err)
-		}
 		opts := []om.Option{om.WithLevel(om.LevelFull), om.WithProfile(prof), om.WithMetrics(r.Metrics)}
 		if r.Trace {
 			opts = append(opts, om.WithTrace())

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/axp"
@@ -249,21 +248,15 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 		}
 	} else {
 		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					m := int(next.Add(1) - 1)
-					if m >= len(p.Objects) || ctx.Err() != nil {
-						return
-					}
-					mods[m], errs[m] = liftModule(p, m, p.Objects[m])
+		runWorkers(par, func() {
+			for {
+				m := int(next.Add(1) - 1)
+				if m >= len(p.Objects) || ctx.Err() != nil {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				mods[m], errs[m] = liftModule(p, m, p.Objects[m])
+			}
+		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

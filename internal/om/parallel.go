@@ -29,22 +29,48 @@ func (pg *Prog) forEachProc(fn func(*Proc) bool) bool {
 	}
 	var next atomic.Int64
 	var changed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(pg.Procs)) {
-					return
-				}
-				if fn(pg.Procs[i]) {
-					changed.Store(true)
-				}
+	runWorkers(n, func() {
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(len(pg.Procs)) {
+				return
 			}
+			if fn(pg.Procs[i]) {
+				changed.Store(true)
+			}
+		}
+	})
+	return changed.Load()
+}
+
+// runWorkers runs n goroutines of work and waits for all of them. A panic
+// in one is raised again in the caller once every goroutine has returned,
+// so a recover around the link (omd's per-job recovery) sees it instead of
+// the process dying.
+func runWorkers(n int, work func()) {
+	var g struct {
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	}
+	g.wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer g.wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					g.mu.Lock()
+					if g.panicked == nil {
+						g.panicked = v
+					}
+					g.mu.Unlock()
+				}
+			}()
+			work()
 		}()
 	}
-	wg.Wait()
-	return changed.Load()
+	g.wg.Wait()
+	if g.panicked != nil {
+		panic(g.panicked)
+	}
 }

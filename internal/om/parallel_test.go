@@ -3,6 +3,7 @@ package om
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/objfile"
@@ -62,4 +63,26 @@ func TestRunCanceled(t *testing.T) {
 	if _, err := Run(ctx, p); err == nil {
 		t.Fatal("expected error from canceled context")
 	}
+}
+
+// TestRunWorkersRaisesPanicInCaller: a panic in one worker goroutine is
+// raised again in the goroutine that started the workers, after every other
+// worker has returned, so a recover around om.Run catches it.
+func TestRunWorkersRaisesPanicInCaller(t *testing.T) {
+	var started, finished atomic.Int32
+	defer func() {
+		if v := recover(); v != "worker fault" {
+			t.Fatalf("recovered %v, want the worker's panic", v)
+		}
+		if n := finished.Load(); n != 3 {
+			t.Errorf("%d workers finished before the panic was raised, want 3", n)
+		}
+	}()
+	runWorkers(4, func() {
+		if started.Add(1) == 1 {
+			panic("worker fault")
+		}
+		finished.Add(1)
+	})
+	t.Fatal("runWorkers returned normally")
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/buildcache"
 	"repro/internal/tcc"
 )
 
@@ -32,13 +31,13 @@ func goldenMatrix() []matrixPoint {
 	}
 }
 
-// TestSharedProgramRunsByteIdentical is the resident path's invariant: one
-// merged program, taken from the program cache and shared read-only, serves
-// every (options, profile) point of the golden matrix concurrently, and each
-// Run's image is byte-identical to a Run over a freshly merged program. No
-// Run may mutate the shared program: its modules' hashes and bytes and its
-// commons are the same afterwards. Two concurrent sweeps make every point
-// overlap with every other.
+// TestSharedProgramRunsByteIdentical: Run never mutates its input. One
+// merged program, shared read-only, serves every (options, profile) point of
+// the golden matrix concurrently, and each Run's image is byte-identical to
+// a Run over a program of its own. The shared program's modules' hashes and
+// bytes and its commons are the same afterwards. Two concurrent sweeps make
+// every point overlap with every other. This is what lets a caller merge
+// once and link the same program under several option sets.
 func TestSharedProgramRunsByteIdentical(t *testing.T) {
 	prof := collectProfile(t)
 	ctx := context.Background()
@@ -64,11 +63,7 @@ func TestSharedProgramRunsByteIdentical(t *testing.T) {
 		}
 	}
 
-	pc := buildcache.NewProgramCache(0, nil)
-	p, _, err := pc.GetOrMerge(buildObjects(t, []tcc.Source{{Name: "prog", Text: testProgram}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := freshProgram(t)
 	snapshot := func() ([]string, [][]byte, string) {
 		hashes := make([]string, len(p.Objects))
 		mods := make([][]byte, len(p.Objects))

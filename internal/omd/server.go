@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -157,12 +158,6 @@ type Server struct {
 	rec     *obs.FlightRecorder
 	started time.Time
 
-	// progCache is the resident warm-path store shared by every job the
-	// server runs: merged decoded programs keyed on program inputs. It is
-	// content-addressed, so no eviction or invalidation coordination with
-	// jobs is needed, and it reports stage/program/* counters to /metrics.
-	progCache *buildcache.ProgramCache
-
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	queue      chan *flight
@@ -228,7 +223,6 @@ func NewServer(cfg Config) *Server {
 		now:        now,
 		rec:        obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		started:    now(),
-		progCache:  buildcache.NewProgramCache(0, reg),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *flight, cfg.QueueDepth),
@@ -432,7 +426,7 @@ func (s *Server) runFlight(f *flight) {
 
 	s.reg.Counter("omd/jobs-executed").Add(1)
 	jobDone := obs.StartSpan(s.reg.Timer("omd/job"))
-	res, err := s.execute(f.ctx, f.run, f.exec)
+	res, err := s.executeRecovered(f.ctx, f.run, f.exec)
 	jobDone()
 	f.cancel() // release the deadline timer
 
@@ -491,6 +485,23 @@ func (s *Server) runFlight(f *flight) {
 	}
 }
 
+// executeRecovered runs one execution and turns a panic in it into the
+// flight's error, so a job that crashes the linker, a check or the
+// simulator fails alone instead of taking the daemon down: the error
+// carries the panic value, the execution span the stack, and omd/panics
+// counts it.
+func (s *Server) executeRecovered(ctx context.Context, rs *resolved, sp *obs.Span) (res *result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.reg.Counter("omd/panics").Add(1)
+			sp.SetAttr("panic", fmt.Sprint(v))
+			sp.SetAttr("stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("omd: execution panicked: %v", v)
+		}
+	}()
+	return s.execute(ctx, rs, sp)
+}
+
 // sharedAttrs copies a span's attributes and adds the shared-flight marker.
 func sharedAttrs(attrs map[string]string) map[string]string {
 	out := make(map[string]string, len(attrs)+1)
@@ -541,7 +552,8 @@ func (s *Server) memoize(key string, res *result) {
 }
 
 // loadProgram compiles or decodes a job's modules, adds the runtime
-// library unless the job opts out, and merges them.
+// library unless the job opts out, and merges them. Every link that misses
+// the image cache starts here: no decoded program outlives its job.
 func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) {
 	var objs []*objfile.Object
 	var err error
@@ -572,19 +584,17 @@ func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) 
 	return link.Merge(objs)
 }
 
-// execute runs one link job end to end, warmest path first: a cached image
-// (keyed on program, options and profile, so a repeat that differs only in
-// simulation finds it) needs nothing resolved at all, and its bytes are
-// served as stored, decoded only to simulate; a resident decoded
-// program skips compile, upload decode, and merge, and om.Run lifts it
-// fresh (cloning a cached lifted form would cost more than the lift) and
-// runs the passes, layout and emission. A traced or checked job bypasses
-// the image cache — neither a journal nor the symbolic program can be
-// reproduced from a cached image.
+// execute runs one link job end to end. A cached image (keyed on program,
+// options and profile, so a repeat that differs only in simulation finds
+// it) needs nothing resolved at all, and its bytes are served as stored,
+// decoded only to simulate. Any other job compiles or decodes its modules,
+// merges them, and om.Run lifts the program and runs the passes, layout
+// and emission. A traced or checked job bypasses the image cache — neither
+// a journal nor the symbolic program can be reproduced from a cached image.
 //
 // sp is the execution span on the lead job's trace; every stage becomes a
-// child, so the span tree mirrors the warm-path short-circuits (a cached
-// image shows only the lookup; a resident program shows no compile/merge).
+// child, so the span tree mirrors the short-circuit (a cached image shows
+// only the lookup).
 func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -628,20 +638,7 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 		}
 	}
 
-	// Concurrent first links of one program wait for a single merge; the
-	// lookup span ends where the loading job's compile or decode begins.
-	pcs := sp.Child("program-cache")
-	loaded := false
-	p, hit, err := s.progCache.GetOrLoad(rs.progKey, func() (*link.Program, error) {
-		loaded = true
-		pcs.SetAttr("hit", "false")
-		pcs.End()
-		return s.loadProgram(rs, sp)
-	})
-	if !loaded {
-		pcs.SetAttr("hit", strconv.FormatBool(hit))
-		pcs.End()
-	}
+	p, err := s.loadProgram(rs, sp)
 	if err != nil {
 		return nil, err
 	}

@@ -314,6 +314,84 @@ func TestDrainMidFlight(t *testing.T) {
 	}
 }
 
+// TestExecutionPanicFailsOneJob: a panic inside one execution's link fails
+// that flight alone. Every job attached to it ends failed with the panic
+// value in its error and the stack in its trace, omd/panics counts the
+// panic, and the server runs the next job as usual.
+func TestExecutionPanicFailsOneJob(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 4})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var gateOnce, faultOnce sync.Once
+	s.SetExecGate(func(string) {
+		gateOnce.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	t.Cleanup(om.SetFaultHookForTesting(func(*om.Prog) {
+		faultOnce.Do(func() { panic("injected fault") })
+	}))
+	c := startHTTP(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	spec := &omd.JobSpec{Version: omd.SpecVersion,
+		Objects: [][]byte{uploadObject(t, "ret", "long main() { return 7; }\n")}}
+	lead, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never picked up the flight")
+	}
+	twin, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !twin.Coalesced {
+		t.Fatal("second submission did not attach to the admitted flight")
+	}
+	close(release)
+
+	for _, id := range []string{lead.ID, twin.ID} {
+		st, err := c.Wait(ctx, id, 5*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != omd.JobFailed || !strings.Contains(st.Error, "injected fault") {
+			t.Fatalf("job %s: state %s, error %q; want failed naming the panic", id, st.State, st.Error)
+		}
+	}
+	doc, err := c.Trace(ctx, lead.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := doc.Find("execute")
+	if exec == nil || exec.Attrs["panic"] != "injected fault" ||
+		!strings.Contains(exec.Attrs["stack"], "repro/internal/om.Run") {
+		t.Fatalf("panicked job's trace lacks the panic and its stack:\n%s", doc.Render())
+	}
+
+	st, err := c.SubmitWait(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != omd.JobDone || st.MemoHit || st.Coalesced {
+		t.Fatalf("job after the panic: state %s (%s), memo %v, coalesced %v; want a fresh execution done",
+			st.State, st.Error, st.MemoHit, st.Coalesced)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.Counter("omd/panics"); n != 1 {
+		t.Errorf("omd/panics = %d, want 1", n)
+	}
+}
+
 // loopObject compiles a program that spins for billions of instructions —
 // far longer than any test budget — so only cancellation can end its
 // simulation.

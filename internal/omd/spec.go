@@ -32,6 +32,7 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/objfile"
@@ -88,9 +89,8 @@ type JobSpec struct {
 
 // resolved is a validated JobSpec with every serialized field decoded and
 // the coalescing key computed. Uploaded object modules are deliberately NOT
-// decoded here: the warm path must answer a repeat submission from the
-// resident decoded-program cache without parsing a single module, so the
-// keys hash the raw bytes and decoding happens on the execution cold path
+// decoded here: a memo hit or an image-cache hit never needs them parsed,
+// so the keys hash the raw bytes and decoding happens when the job links
 // (where a malformed module fails the job rather than the submission).
 type resolved struct {
 	spec     JobSpec
@@ -106,7 +106,7 @@ type resolved struct {
 	key string
 	// progKey identifies the merged program independent of options: the
 	// program inputs (raw uploaded bytes, or benchmark sources + build
-	// mode) plus stdlib inclusion. It keys the decoded-program cache.
+	// mode) plus stdlib inclusion. The image key folds it in.
 	progKey string
 }
 
@@ -405,16 +405,13 @@ func (r *resolved) computeKey() {
 			h.Write(data)
 		}
 	} else {
-		// Benchmark jobs hash the sources themselves, not just the name, so
-		// the key stays content-addressed across daemon versions that ship
-		// different generated suites.
+		// Benchmark jobs hash a digest of the sources, not just the name,
+		// so the key stays content-addressed across daemon versions that
+		// ship different generated suites.
 		writeStr(h, SpecVersion+"/program/bench")
 		writeStr(h, r.bench.Name)
 		writeStr(h, fmt.Sprint(r.eachMode))
-		for _, m := range r.bench.Modules {
-			writeStr(h, m.Name)
-			writeStr(h, m.Text)
-		}
+		writeStr(h, sourceDigests()[r.bench.Name])
 	}
 	// The runtime library is resident per server process, so its content
 	// needs no hashing here; whether it is linked does.
@@ -429,9 +426,25 @@ func (r *resolved) computeKey() {
 	r.key = fmt.Sprintf("%x", k.Sum(nil))
 }
 
-// decodeObjects parses the uploaded modules. Only the execution cold path
-// calls it: a warm job is answered from the decoded-program cache without
-// touching the bytes again.
+// sourceDigests maps each built-in benchmark's name to the SHA-256 of its
+// module names and texts. The suite is compiled into the binary, so the
+// table is built once per process, on the first benchmark job, rather than
+// hashing the sources on every submission.
+var sourceDigests = sync.OnceValue(func() map[string]string {
+	digests := make(map[string]string)
+	for _, b := range benchspec.All() {
+		h := sha256.New()
+		for _, m := range b.Modules {
+			writeStr(h, m.Name)
+			writeStr(h, m.Text)
+		}
+		digests[b.Name] = string(h.Sum(nil))
+	}
+	return digests
+})
+
+// decodeObjects parses the uploaded modules. Only a link calls it: a memo
+// hit or an image-cache hit never touches the bytes again.
 func (r *resolved) decodeObjects() ([]*objfile.Object, error) {
 	objs := make([]*objfile.Object, 0, len(r.spec.Objects))
 	for i, data := range r.spec.Objects {

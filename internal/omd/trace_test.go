@@ -22,7 +22,7 @@ import (
 // must record, in the server's own execution order.
 var lifecyclePhases = []string{
 	"admission", "queue-wait", "execute",
-	"program-cache", "compile", "merge",
+	"compile", "merge",
 	"om", "om/lift", "om/passes", "om/emit",
 }
 

@@ -119,7 +119,10 @@ func TestAllBenchmarksRunIdenticallyEverywhere(t *testing.T) {
 
 func TestBenchmarkRegistry(t *testing.T) {
 	names := map[string]bool{}
-	for _, b := range All() {
+	for i, b := range All() {
+		if b.Name != suite[i].name {
+			t.Errorf("suite entry %d is listed as %s but builds %s", i, suite[i].name, b.Name)
+		}
 		if names[b.Name] {
 			t.Errorf("duplicate benchmark %s", b.Name)
 		}
