@@ -96,13 +96,19 @@ bench-link:
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
 
-# linkbench-smoke runs each link benchmark once, then links a program
-# whose 32 KB common array makes OM ship its data region as two segments
-# (the zero commons become the first one's ZeroSize) with -check full, runs
-# the split image in axsim, and requires its output to equal an OM-none
-# link's output.
+# linkbench-smoke runs the cold-link benchmarks for 20 iterations (enough
+# that allocs/op is steady; a 1x run counts warm-up) and compares them with
+# the committed BENCH_link.json: it fails when a benchmark's allocs/op rose
+# more than 10%, and reports ns/op and B/op. It then links a program whose
+# 32 KB common array makes OM ship its data region as two segments (the
+# zero commons become the first one's ZeroSize) with -check full, runs the
+# split image in axsim, and requires its output to equal an OM-none link's
+# output.
 linkbench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold' -benchtime 1x -count 1 .
+	@out=$$(mktemp); \
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold' -benchmem -benchtime 20x -count 1 . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+	$(GO) run ./cmd/benchjson -compare BENCH_link.json < $$out; \
+	status=$$?; rm -f $$out; exit $$status
 	@dir=$$(mktemp -d); \
 	printf 'long print(long x);\nlong g;\nlong big[4096];\nlong add(long a, long b) { return a + b; }\nlong main() { long i; i = 0; while (i < 10) { g = add(g, i); big[i * 400] = g; i = i + 1; } print(g); print(big[3600]); return 0; }\n' > $$dir/t.tc; \
 	$(GO) build -o $$dir/ ./cmd/tcc ./cmd/om ./cmd/axsim && \

@@ -10,7 +10,15 @@
 // -baseline, a previous record is embedded under "baseline" so a single
 // file shows the perf trajectory.
 //
+// With -compare OLD, benchjson writes no record: it prints, for every
+// benchmark on stdin that OLD also records, the ns/op, B/op and allocs/op
+// of both with the change in percent, and exits 1 when a benchmark's
+// allocs/op rose more than 10%. Allocation counts are deterministic enough
+// to gate on; times and bytes are only reported.
+//
 // Usage: go test -run '^$' -bench Sim . ./internal/sim | benchjson -o BENCH_sim.json
+//
+//	go test -run '^$' -bench LinkCold -benchmem . | benchjson -compare BENCH_link.json
 package main
 
 import (
@@ -19,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -110,6 +119,7 @@ func commit() string {
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	baseline := flag.String("baseline", "", "previous record to embed under \"baseline\"")
+	compareTo := flag.String("compare", "", "print deltas against this record instead of writing one; fail on an allocs/op rise above 10%")
 	flag.Parse()
 
 	rec := record{
@@ -130,6 +140,22 @@ func main() {
 	if len(rec.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
+	}
+	if *compareTo != "" {
+		raw, err := os.ReadFile(*compareTo)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		var old record
+		if err := json.Unmarshal(raw, &old); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *compareTo, err)
+			os.Exit(1)
+		}
+		if !compare(os.Stdout, old.Benchmarks, rec.Benchmarks) {
+			os.Exit(1)
+		}
+		return
 	}
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
@@ -158,4 +184,46 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// maxAllocRise is the largest allocs/op increase compare accepts.
+const maxAllocRise = 0.10
+
+// compare prints one row per benchmark in cur that old records, and
+// reports whether every row's allocs/op stayed within maxAllocRise.
+func compare(w io.Writer, old, cur []benchmark) bool {
+	byName := make(map[string]benchmark, len(old))
+	for _, b := range old {
+		byName[b.Name] = b
+	}
+	ok, rows := true, 0
+	fmt.Fprintf(w, "%-32s %28s %28s %24s\n", "benchmark", "ns/op", "B/op", "allocs/op")
+	for _, b := range cur {
+		o, found := byName[b.Name]
+		if !found {
+			fmt.Fprintf(w, "%-32s not in the old record\n", b.Name)
+			continue
+		}
+		rows++
+		verdict := ""
+		if o.AllocsPer > 0 && b.AllocsPer > o.AllocsPer*(1+maxAllocRise) {
+			ok = false
+			verdict = fmt.Sprintf("  FAIL: allocs/op rose more than %.0f%%", 100*maxAllocRise)
+		}
+		fmt.Fprintf(w, "%-32s %28s %28s %24s%s\n", b.Name,
+			delta(o.NsPerOp, b.NsPerOp), delta(o.BytesPerOp, b.BytesPerOp), delta(o.AllocsPer, b.AllocsPer), verdict)
+	}
+	if rows == 0 {
+		fmt.Fprintln(w, "benchjson: no benchmark on stdin is in the old record")
+		return false
+	}
+	return ok
+}
+
+// delta renders "old -> new (+x.x%)".
+func delta(old, cur float64) string {
+	if old == 0 {
+		return fmt.Sprintf("- -> %.0f", cur)
+	}
+	return fmt.Sprintf("%.0f -> %.0f (%+.1f%%)", old, cur, 100*(cur-old)/old)
 }

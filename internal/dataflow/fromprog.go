@@ -161,7 +161,7 @@ func FromProg(pg *om.Prog, pl *om.Plan) (*Program, error) {
 					inst.LitLoad = true
 					inst.LitSlotOK = true
 					g := dp.Cluster
-					if slot, ok := pl.SlotAddr(g, si.Lit.Key); !ok {
+					if slot, ok := pl.SlotAddr(g, si.Lit.ID); !ok {
 						inst.LitSlotOK = false
 						inst.LitDetail = fmt.Sprintf("no GAT slot for %s in cluster %d", si.Lit.Key.Name, g)
 					} else if d := int64(slot) - int64(pl.GPOf(pr)); d < axp.MemDispMin || d > axp.MemDispMax {

@@ -30,7 +30,7 @@ func SplitGPDisp(delta int64) (hi, lo int16, err error) {
 
 // gatInfo is one global address table being assembled.
 type gatInfo struct {
-	slots []TargetKey
+	slots []int32 // target ids
 	start uint64
 	gp    uint64
 }
@@ -62,7 +62,10 @@ func (p *Program) Layout() (*objfile.Image, error) {
 		gats[i] = &gatInfo{slots: slots}
 	}
 	moduleGAT := gplan.ModuleGAT
-	moduleSlot := gplan.ModuleSlot
+	targets, err := TargetsOf(p)
+	if err != nil {
+		return nil, err
+	}
 
 	// --- Data layout per region: [GATs][sdata][sbss][data][commons][bss].
 	// Small sections sit right after the GATs so GP-relative 16-bit
@@ -91,10 +94,10 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	place(objfile.SecSBss)
 	place(objfile.SecData)
 	// Commons always belong to the static region (user program data).
-	commonAddr := make(map[string]uint64)
-	for _, c := range p.Commons {
+	commonAddr := make([]uint64, len(p.Commons))
+	for i, c := range p.Commons {
 		dcur[0] = (dcur[0] + c.Align - 1) &^ (c.Align - 1)
-		commonAddr[c.Name] = dcur[0]
+		commonAddr[i] = dcur[0]
 		dcur[0] += c.Size
 	}
 	place(objfile.SecBss)
@@ -121,11 +124,10 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	}
 	addrOfTarget := func(t Target, addend int64) (uint64, error) {
 		if t.Kind == TCommon {
-			a, ok := commonAddr[t.Name]
-			if !ok {
+			if t.Common < 0 || int(t.Common) >= len(commonAddr) {
 				return 0, fmt.Errorf("link: unplaced common %s", t.Name)
 			}
-			return a + uint64(addend), nil
+			return commonAddr[t.Common] + uint64(addend), nil
 		}
 		a, err := addrOfDef(t.Mod, t.Sym)
 		if err != nil {
@@ -149,11 +151,10 @@ func (p *Program) Layout() (*objfile.Image, error) {
 	}
 	keyAddr := func(k TargetKey) (uint64, error) {
 		if k.Kind == TCommon {
-			a, ok := commonAddr[k.Name]
-			if !ok {
+			if k.Common < 0 || int(k.Common) >= len(commonAddr) {
 				return 0, fmt.Errorf("link: unplaced common %s", k.Name)
 			}
-			return a + uint64(k.Addend), nil
+			return commonAddr[k.Common] + uint64(k.Addend), nil
 		}
 		a, err := addrOfDef(k.Mod, k.Sym)
 		if err != nil {
@@ -162,8 +163,8 @@ func (p *Program) Layout() (*objfile.Image, error) {
 		return a + uint64(k.Addend), nil
 	}
 	for _, g := range gats {
-		for i, k := range g.slots {
-			a, err := keyAddr(k)
+		for i, id := range g.slots {
+			a, err := keyAddr(gplan.Keys[id])
 			if err != nil {
 				return nil, err
 			}
@@ -211,7 +212,8 @@ func (p *Program) Layout() (*objfile.Image, error) {
 		for _, r := range obj.Relocs {
 			switch r.Kind {
 			case objfile.RLiteral:
-				slotAddr := g.start + uint64(moduleSlot[m][r.Extra])*8
+				slot := gplan.SlotOf[moduleGAT[m]][targets.Slots[m][r.Extra]]
+				slotAddr := g.start + uint64(slot)*8
 				disp := int64(slotAddr) - int64(g.gp)
 				if disp < axp.MemDispMin || disp > axp.MemDispMax {
 					return nil, fmt.Errorf("link: %s: GAT slot beyond GP reach", obj.Name)
@@ -298,9 +300,9 @@ func (p *Program) Layout() (*objfile.Image, error) {
 			}
 		}
 	}
-	for _, c := range p.Commons {
+	for i, c := range p.Commons {
 		im.Symbols = append(im.Symbols, objfile.ImageSymbol{
-			Name: c.Name, Addr: commonAddr[c.Name], Size: c.Size, Kind: objfile.SymData,
+			Name: c.Name, Addr: commonAddr[i], Size: c.Size, Kind: objfile.SymData,
 		})
 	}
 	for _, g := range gats {

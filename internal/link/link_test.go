@@ -174,8 +174,8 @@ func TestAssignGATsDedup(t *testing.T) {
 	}
 	// shared must appear exactly once.
 	count := 0
-	for _, k := range plan.Slots[0] {
-		if k.Kind == TDef && p.Objects[k.Mod].Symbols[k.Sym].Name == "shared" {
+	for _, id := range plan.Slots[0] {
+		if k := plan.Keys[id]; k.Kind == TDef && p.Objects[k.Mod].Symbols[k.Sym].Name == "shared" {
 			count++
 		}
 	}
@@ -204,9 +204,9 @@ func TestAssignGATsKeepFilter(t *testing.T) {
 	if len(full.Slots[0]) == 0 {
 		t.Fatal("no slots without filter")
 	}
-	for _, s := range none.ModuleSlot[0] {
+	for _, s := range none.SlotOf[0] {
 		if s != -1 {
-			t.Fatal("dropped slot should map to -1")
+			t.Fatal("dropped target should map to slot -1")
 		}
 	}
 }

@@ -27,10 +27,11 @@ const (
 
 // Target is the resolution of one symbol reference.
 type Target struct {
-	Kind TargetKind
-	Mod  int   // defining module (TDef)
-	Sym  int32 // symbol index within the defining module (TDef)
-	Name string
+	Kind   TargetKind
+	Mod    int   // defining module (TDef)
+	Sym    int32 // symbol index within the defining module (TDef)
+	Common int32 // index into Program.Commons (TCommon)
+	Name   string
 }
 
 // Common is a merged common block (uninitialized exported data).
@@ -57,11 +58,10 @@ type Program struct {
 	// modules are statically linked.
 	Shared []bool
 
-	// moduleKeys memoizes ModuleKeys, which otherwise rescans every
-	// relocation on each layout round of the OM fixpoint. It is an
-	// atomic.Value so a merged Program stays safe to share read-only across
-	// concurrent links.
-	moduleKeys atomic.Value
+	// targets memoizes TargetsOf, which otherwise rescans every relocation
+	// on each layout round of the OM fixpoint. It is an atomic.Value so a
+	// merged Program stays safe to share read-only across concurrent links.
+	targets atomic.Value
 }
 
 // IsShared reports whether module m is part of a shared library.
@@ -173,6 +173,10 @@ func Merge(objects []*objfile.Object) (*Program, error) {
 		}
 		p.Commons = kept
 	}
+	commonIdx := make(map[string]int32, len(p.Commons))
+	for i, c := range p.Commons {
+		commonIdx[c.Name] = int32(i)
+	}
 
 	// Resolve every symbol of every module.
 	p.resolved = make([][]Target, len(objects))
@@ -188,8 +192,8 @@ func Merge(objects []*objfile.Object) (*Program, error) {
 					p.resolved[m][s] = Target{Kind: TDef, Mod: d.mod, Sym: d.sym, Name: sym.Name}
 					continue
 				}
-				if _, ok := commons[sym.Name]; ok && p.FindCommon(sym.Name) != nil {
-					p.resolved[m][s] = Target{Kind: TCommon, Name: sym.Name}
+				if c, ok := commonIdx[sym.Name]; ok {
+					p.resolved[m][s] = Target{Kind: TCommon, Common: c, Name: sym.Name}
 					continue
 				}
 				if sym.Kind == objfile.SymUndef {
@@ -197,7 +201,7 @@ func Merge(objects []*objfile.Object) (*Program, error) {
 				}
 				// A common suppressed by a definition was handled above;
 				// reaching here means the definition exists.
-				p.resolved[m][s] = Target{Kind: TCommon, Name: sym.Name}
+				p.resolved[m][s] = Target{Kind: TCommon, Common: -1, Name: sym.Name}
 			}
 		}
 	}
@@ -217,15 +221,17 @@ type TargetKey struct {
 	Kind   TargetKind
 	Mod    int
 	Sym    int32
+	Common int32
 	Name   string
 	Addend int64
 }
 
 // Key builds the dedup key for target+addend. Name is carried for
-// diagnostics on both kinds; (Mod, Sym) is the identity for definitions.
+// diagnostics on both kinds; (Mod, Sym) is the identity for definitions,
+// Common for commons.
 func Key(t Target, addend int64) TargetKey {
 	if t.Kind == TCommon {
-		return TargetKey{Kind: TCommon, Name: t.Name, Addend: addend}
+		return TargetKey{Kind: TCommon, Common: t.Common, Name: t.Name, Addend: addend}
 	}
 	return TargetKey{Kind: TDef, Mod: t.Mod, Sym: t.Sym, Name: t.Name, Addend: addend}
 }

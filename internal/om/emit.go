@@ -57,11 +57,11 @@ type emitScratch struct {
 	// (all text bases are nonzero), which is how a GP reset anchored to a
 	// removed call is detected.
 	addrs []uint64
-	// procAddr holds this emission's finalized procedure addresses — the
-	// refinement of the plan's estimates after label normalization,
-	// scheduling, and alignment padding. Keeping it here (not on the plan)
-	// is what lets one plan serve concurrent emissions.
-	procAddr map[*Proc]uint64
+	// procAddr holds this emission's finalized procedure addresses, indexed
+	// by Proc.idx — the refinement of the plan's estimates after label
+	// normalization, scheduling, and alignment padding. Keeping it here (not
+	// on the plan) is what lets one plan serve concurrent emissions.
+	procAddr []uint64
 	// gaps are the alignment-padding word addresses between procedures —
 	// the only text words the encode loop does not write, filled with
 	// unops instead of prefilling the whole region.
@@ -73,7 +73,7 @@ type emitScratch struct {
 }
 
 var emitScratchPool = sync.Pool{
-	New: func() any { return &emitScratch{procAddr: make(map[*Proc]uint64, 64)} },
+	New: func() any { return new(emitScratch) },
 }
 
 // fit returns buf emptied, or a new buffer of capacity exactly n when buf
@@ -112,6 +112,7 @@ func (sc *emitScratch) size(pg *Prog, pl *Plan, sched bool) {
 	}
 	sc.addrs = fit(sc.addrs, pg.nOrd)[:pg.nOrd]
 	clear(sc.addrs)
+	sc.procAddr = fit(sc.procAddr, len(pg.Procs))[:len(pg.Procs)]
 	sc.gaps = fit(sc.gaps, len(pg.Procs))
 	sc.extents = fit(sc.extents, 2+len(pl.gat.Slots)+2*len(pg.P.Objects))
 	sc.pieces = fit(sc.pieces, cap(sc.extents))
@@ -124,7 +125,6 @@ func (sc *emitScratch) release() {
 	clear(sc.insts[:cap(sc.insts)])
 	clear(sc.block[:cap(sc.block)])
 	clear(sc.pieces[:cap(sc.pieces)])
-	clear(sc.procAddr)
 	emitScratchPool.Put(sc)
 }
 
@@ -294,7 +294,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			sc.gaps = append(sc.gaps, tcur[r])
 			tcur[r] += 4
 		}
-		procAddr[pr] = tcur[r]
+		procAddr[pr.idx] = tcur[r]
 		for _, si := range sc.insts[first:] {
 			if si.ord >= 0 {
 				addrs[si.ord] = tcur[r]
@@ -330,7 +330,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 		gp := int64(pl.GPOf(pr))
 		gatIdx := pl.GPGroup(pr)
 		live, labs := sc.proc(pi)
-		base := procAddr[pr]
+		base := procAddr[pr.idx]
 		for _, lp := range labs {
 			labelIdx[lp.label] = lp.pos
 		}
@@ -345,7 +345,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 				}
 				in.Disp = d
 			case si.Lit != nil && !si.Lit.Converted && !si.Lit.Nullified:
-				slotAddr, ok := pl.SlotAddr(gatIdx, si.Lit.Key)
+				slotAddr, ok := pl.SlotAddr(gatIdx, si.Lit.ID)
 				if !ok {
 					return nil, fmt.Errorf("om: %s: GAT slot for %v vanished", pr.Name, si.Lit.Key)
 				}
@@ -383,7 +383,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 				}
 			}
 			if si.Call != nil && !si.Deleted {
-				target := procAddr[si.Call.Target] + si.Call.EntryOffset
+				target := procAddr[si.Call.Target.idx] + si.Call.EntryOffset
 				d, ok := axp.BranchDispTo(addr, target)
 				if !ok {
 					return nil, fmt.Errorf("om: %s: call at %#x cannot reach %s+%d",
@@ -473,8 +473,8 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	}
 	addrOfKey := func(k link.TargetKey) (uint64, error) { return pl.addrOfKeyAt(k, procAddr) }
 	for g, slots := range pl.gat.Slots {
-		for i, k := range slots {
-			a, err := addrOfKey(k)
+		for i, id := range slots {
+			a, err := addrOfKey(pl.gat.Keys[id])
 			if err != nil {
 				return nil, err
 			}
@@ -508,7 +508,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	found := false
 	for _, pr := range pg.Procs {
 		if pr.Name == p.EntryName && pr.Exported {
-			entryAddr = procAddr[pr]
+			entryAddr = procAddr[pr.idx]
 			found = true
 		}
 	}
@@ -537,7 +537,7 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 	im.GATs = make([]objfile.GATRange, 0, len(pl.gat.Slots))
 	for pi, pr := range pg.Procs {
 		im.Symbols = append(im.Symbols, objfile.ImageSymbol{
-			Name: pr.Name, Addr: procAddr[pr],
+			Name: pr.Name, Addr: procAddr[pr.idx],
 			Size: uint64(sc.start[pi+1]-sc.start[pi]) * 4, Kind: objfile.SymProc,
 			GP: pl.GPOf(pr),
 		})
@@ -554,9 +554,9 @@ func Emit(pg *Prog, pl *Plan, sched bool) (*objfile.Image, error) {
 			})
 		}
 	}
-	for _, c := range p.Commons {
+	for i, c := range p.Commons {
 		im.Symbols = append(im.Symbols, objfile.ImageSymbol{
-			Name: c.Name, Addr: pl.commonAddr[c.Name], Size: c.Size, Kind: objfile.SymData,
+			Name: c.Name, Addr: pl.commonAddr[i], Size: c.Size, Kind: objfile.SymData,
 		})
 	}
 	for g := range pl.gat.Slots {
@@ -645,7 +645,7 @@ func dataSegment(name string, pc *dataExtent, lo, hi, next uint64) objfile.Segme
 }
 
 // gprelDisp computes the final displacement of a GP-relative rewrite.
-func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr map[*Proc]uint64) (int32, error) {
+func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr []uint64) (int32, error) {
 	g := si.GPRel
 	addr, err := pl.addrOfKeyAt(g.Key, procAddr)
 	if err != nil {
@@ -685,9 +685,9 @@ func gprelDisp(pl *Plan, si *SInst, gp int64, procAddr map[*Proc]uint64) (int32,
 
 // gpdAnchor computes the address held in the base register of a GP pair,
 // reading the emission's ordinal-indexed address scratch.
-func gpdAnchor(pr *Proc, hi *SInst, addrs []uint64, procAddr map[*Proc]uint64) (uint64, error) {
+func gpdAnchor(pr *Proc, hi *SInst, addrs []uint64, procAddr []uint64) (uint64, error) {
 	if hi.GPD.Entry {
-		return procAddr[pr], nil
+		return procAddr[pr.idx], nil
 	}
 	call := hi.GPD.AfterCall
 	if call == nil || call.ord < 0 || int(call.ord) >= len(addrs) || addrs[call.ord] == 0 {

@@ -68,6 +68,9 @@ type SInst struct {
 type LitInfo struct {
 	Key  link.TargetKey
 	Uses []*SInst
+	// ID is Key's dense target id (link.Targets), or -1 when no literal
+	// pool names Key. Layout planning indexes its slot tables with it.
+	ID int32
 	// Converted: the load became a load-address (lda or ldah) and no longer
 	// references the GAT.
 	Converted bool
@@ -146,6 +149,10 @@ type Proc struct {
 	Insts    []*SInst
 
 	nextLabel int
+	// idx is the procedure's position in lift order. The plan's and
+	// Emit's procedure-address tables are indexed by it, so they stay valid
+	// when profile-guided layout reorders Prog.Procs.
+	idx int32
 
 	// Analysis/transform state:
 	// DataAddrTaken: the procedure's address appears in initialized data
@@ -187,6 +194,9 @@ type Prog struct {
 	// par bounds the goroutines used by per-procedure passes (see
 	// forEachProc); 0 or 1 means serial.
 	par int
+	// before holds the before-statistics lift counts: instructions,
+	// address loads, call sites and GP resets (see Stats.addBefore).
+	before Stats
 }
 
 // renumber assigns every instruction a dense program-wide ordinal. Run
@@ -223,6 +233,8 @@ type pendingCall struct {
 type liftedModule struct {
 	procs   []*Proc
 	pending []pendingCall
+	// before counts the module's share of the before-statistics.
+	before Stats
 }
 
 // Lift translates every procedure of the merged program into symbolic form.
@@ -234,27 +246,36 @@ func Lift(p *link.Program) (*Prog, error) {
 // Modules are lifted independently and merged in module order, so the
 // resulting Prog is identical for every parallelism setting.
 func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
+	// A program whose literal pools do not intern lifts with every target
+	// id -1; GAT assignment reports the error.
+	targets, _ := link.TargetsOf(p)
 	mods := make([]*liftedModule, len(p.Objects))
 	errs := make([]error, len(p.Objects))
 	if par > len(p.Objects) {
 		par = len(p.Objects)
 	}
+	maxWords := 0
+	for _, obj := range p.Objects {
+		maxWords = max(maxWords, int(obj.Sections[objfile.SecText].Size/4))
+	}
 	if par <= 1 {
+		sc := newLiftScratch(maxWords)
 		for m, obj := range p.Objects {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			mods[m], errs[m] = liftModule(p, m, obj)
+			mods[m], errs[m] = liftModule(p, m, obj, targets, sc)
 		}
 	} else {
 		var next atomic.Int64
 		runWorkers(par, func() {
+			sc := newLiftScratch(maxWords)
 			for {
 				m := int(next.Add(1) - 1)
 				if m >= len(p.Objects) || ctx.Err() != nil {
 					return
 				}
-				mods[m], errs[m] = liftModule(p, m, p.Objects[m])
+				mods[m], errs[m] = liftModule(p, m, p.Objects[m], targets, sc)
 			}
 		})
 		if err := ctx.Err(); err != nil {
@@ -267,14 +288,21 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 		}
 	}
 
-	pg := &Prog{P: p, procByDef: make(map[[2]int32]*Proc)}
-	var pending []pendingCall
+	nProcs, nPending := 0, 0
+	for _, lm := range mods {
+		nProcs += len(lm.procs)
+		nPending += len(lm.pending)
+	}
+	pg := &Prog{P: p, Procs: make([]*Proc, 0, nProcs), procByDef: make(map[[2]int32]*Proc, nProcs)}
+	pending := make([]pendingCall, 0, nPending)
 	for _, lm := range mods {
 		for _, pr := range lm.procs {
+			pr.idx = int32(len(pg.Procs))
 			pg.Procs = append(pg.Procs, pr)
 			pg.procByDef[[2]int32{int32(pr.Mod), pr.Sym}] = pr
 		}
 		pending = append(pending, lm.pending...)
+		pg.before.addBefore(&lm.before)
 	}
 
 	// Resolve direct-call targets now that all procedures exist.
@@ -307,12 +335,31 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 	return pg, nil
 }
 
-// liftModule decodes and annotates one module's procedures. It touches no
-// program-wide state, so modules lift concurrently.
-func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, error) {
+// liftScratch holds one lift worker's buffers, reused module to module.
+type liftScratch struct {
+	// callSite marks, per text word of the module, a call site (once lift
+	// resolves its pending call).
+	callSite []bool
+	// resets lists the procedure's GP-reset high halves with the index of
+	// the call each is anchored to.
+	resets [][2]int
+}
+
+// newLiftScratch sizes a scratch for modules of up to words text words.
+func newLiftScratch(words int) *liftScratch {
+	return &liftScratch{callSite: make([]bool, words), resets: make([][2]int, 0, 64)}
+}
+
+// liftModule decodes and annotates one module's procedures and counts their
+// before-statistics. It only reads program-wide state, so modules lift
+// concurrently, each worker with its own scratch.
+func liftModule(p *link.Program, m int, obj *objfile.Object, targets *link.Targets, sc *liftScratch) (*liftedModule, error) {
 	lm := &liftedModule{}
 	text := obj.Sections[objfile.SecText].Data
 	rels := textRelocs(obj)
+	if words := int(obj.Sections[objfile.SecText].Size / 4); len(sc.callSite) < words {
+		sc.callSite = make([]bool, words)
+	}
 
 	// Procedures of this module in address order.
 	var procSyms []int32
@@ -363,11 +410,15 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 
 		// Pass 1: labels for intra-procedure branch targets. Lift gives an
 		// instruction at most one label, so a target's existing label is
-		// the one to share.
+		// the one to share. It also marks the call sites: every jsr, and
+		// every bsr with a pending call.
 		cur := procRels
+		isCall := sc.callSite[sym.Value/4 : sym.End/4]
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
 			at := cur.at(obj, off)
+			op := si.In.Op
+			isCall[i] = op == axp.JSR || op == axp.BSR && at.br != nil
 			if !si.In.Op.IsBranch() || at.br != nil {
 				continue
 			}
@@ -384,7 +435,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			si.Target = int32(t.Labels[0])
 		}
 
-		// Pass 2: relocation annotations.
+		// Pass 2: relocation annotations and the before-statistics.
 		sidxAt := func(off uint64) (*SInst, bool) {
 			i := (int64(off) - int64(base)) / 4
 			if i < 0 || i >= int64(n) {
@@ -393,11 +444,13 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 			return pr.Insts[i], true
 		}
 		cur = procRels
+		resets := sc.resets[:0]
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
 			at := cur.at(obj, off)
 			if r := at.lit; r != nil {
-				si.Lit = &LitInfo{Key: link.Key(p.Resolve(m, r.Symbol), r.Addend)}
+				k := link.Key(p.Resolve(m, r.Symbol), r.Addend)
+				si.Lit = &LitInfo{Key: k, ID: targets.ID(k, m, r.Extra)}
 			}
 			if r := at.gpr; r != nil {
 				// Optimistically compiled GP-relative reference: already
@@ -440,6 +493,7 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 							obj.Name, sym.Name, anchor-base)
 					}
 					g.AfterCall = call
+					resets = append(resets, [2]int{i, int(anchor-4-base) / 4})
 				}
 				hi.GPD = g
 				lo.GPD = &GPDInfo{Partner: hi}
@@ -449,7 +503,24 @@ func liftModule(p *link.Program, m int, obj *objfile.Object) (*liftedModule, err
 					inst: si, target: p.Resolve(m, r.Symbol), addend: r.Addend,
 				})
 			}
+			if si.Lit != nil {
+				lm.before.AddressLoads++
+			}
+			if isCall[i] {
+				lm.before.countCallBefore(si)
+			}
 		}
+		// A call counts once however many live resets it anchors; a high
+		// half a later pair claimed as its low half anchors nothing.
+		sc.resets = resets
+		for _, rs := range resets {
+			hi := pr.Insts[rs[0]]
+			if hi.GPD.High && !hi.In.IsNop() && isCall[rs[1]] {
+				isCall[rs[1]] = false
+				lm.before.GPResetBefore++
+			}
+		}
+		lm.before.Instructions += n
 		lm.procs = append(lm.procs, pr)
 	}
 	if covered != obj.Sections[objfile.SecText].Size {

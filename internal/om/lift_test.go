@@ -3,6 +3,7 @@ package om
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -18,17 +19,34 @@ import (
 
 // requireLiftMatchesRef lifts every module of p with liftModule and with the
 // map-indexed reference, and requires deep-equal symbolic forms (procedures,
-// instructions, annotations and pending calls) or identical errors.
+// instructions, annotations including target ids, and pending calls) or
+// identical errors, and before-statistics equal to collectBeforeRef's count
+// over the reference's procedures.
 func requireLiftMatchesRef(t *testing.T, name string, p *link.Program) {
 	t.Helper()
+	targets, _ := link.TargetsOf(p)
 	for m, obj := range p.Objects {
-		got, gerr := liftModule(p, m, obj)
-		want, werr := liftModuleRef(p, m, obj)
+		got, gerr := liftModule(p, m, obj, targets, newLiftScratch(0))
+		want, werr := liftModuleRef(p, m, obj, targets)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 			t.Fatalf("%s: module %s: lift error %v, reference %v", name, obj.Name, gerr, werr)
 		}
+		if got == nil {
+			continue
+		}
+		counted := got.before
+		got.before = Stats{}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: module %s: lifted form differs from the reference", name, obj.Name)
+		}
+		// Resolve the pending calls the way lift does before counting.
+		for _, pc := range want.pending {
+			pc.inst.Call = &CallInfo{}
+		}
+		var ref Stats
+		collectBeforeRef(&Prog{Procs: want.procs}, &ref)
+		if counted != ref {
+			t.Fatalf("%s: module %s: lift counted %+v, reference %+v", name, obj.Name, counted, ref)
 		}
 	}
 }
@@ -54,6 +72,7 @@ func TestLiftMatchesMapReference(t *testing.T) {
 // relocation table is out of offset order and carries duplicates at one
 // offset: two LITERALs (the later names the slot lift keeps) and a
 // LITUSE_BASE followed by a LITUSE_JSR (the JSR wins the shared use role).
+// Two GP resets are anchored to its jsr, which counts once.
 func TestLiftRelocationOrderAndDuplicates(t *testing.T) {
 	insts, _, err := axp.Assemble(`
 	ldah  gp, 0(pv)
@@ -94,6 +113,7 @@ func TestLiftRelocationOrderAndDuplicates(t *testing.T) {
 		{Kind: objfile.RLiteral, Section: tx, Offset: 8, Symbol: w, Extra: 1},
 		{Kind: objfile.RLituseJSR, Section: tx, Offset: 20, Symbol: -1, Extra: 16},
 		{Kind: objfile.RGPDisp, Section: tx, Offset: 0, Symbol: f, Addend: 0, Extra: 4},
+		{Kind: objfile.RGPDisp, Section: tx, Offset: 36, Symbol: f, Addend: 24, Extra: 32},
 		{Kind: objfile.RRefQuad, Section: objfile.SecLita, Offset: 0, Symbol: v},
 		{Kind: objfile.RRefQuad, Section: objfile.SecLita, Offset: 8, Symbol: w},
 		{Kind: objfile.RRefQuad, Section: objfile.SecLita, Offset: 16, Symbol: g},
@@ -104,7 +124,11 @@ func TestLiftRelocationOrderAndDuplicates(t *testing.T) {
 	}
 	requireLiftMatchesRef(t, "hand-built", p)
 
-	lm, err := liftModule(p, 0, o)
+	targets, err := link.TargetsOf(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm, err := liftModule(p, 0, o, targets, newLiftScratch(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +150,10 @@ func TestLiftRelocationOrderAndDuplicates(t *testing.T) {
 	}
 	if len(lm.pending) != 1 || lm.pending[0].inst != pf.Insts[8] || pf.Insts[8].Target != -1 {
 		t.Errorf("BRADDR call: pending %+v, target %d", lm.pending, pf.Insts[8].Target)
+	}
+	if b := lm.before; b.CallSites != 2 || b.JSRBefore != 1 || b.GPResetBefore != 1 {
+		t.Errorf("before-statistics: %d call sites, %d jsr, %d with a reset; want 2, 1, 1",
+			b.CallSites, b.JSRBefore, b.GPResetBefore)
 	}
 }
 
@@ -167,10 +195,11 @@ outer:
 }
 
 // liftModuleRef is the map-indexed module lifter that liftModule replaced,
-// kept verbatim as the oracle for the offset-ordered relocation walk: it
-// indexes each relocation role in its own offset map, so a later duplicate
-// at one offset overwrites an earlier one.
-func liftModuleRef(p *link.Program, m int, obj *objfile.Object) (*liftedModule, error) {
+// kept as the oracle for the offset-ordered relocation walk: it indexes each
+// relocation role in its own offset map, so a later duplicate at one offset
+// overwrites an earlier one. It finds each address load's target id by
+// identity alone, never through the LITERAL's slot hint.
+func liftModuleRef(p *link.Program, m int, obj *objfile.Object, targets *link.Targets) (*liftedModule, error) {
 	lm := &liftedModule{}
 	text := obj.Sections[objfile.SecText].Data
 	insts, err := axp.DecodeAll(text)
@@ -276,7 +305,8 @@ func liftModuleRef(p *link.Program, m int, obj *objfile.Object) (*liftedModule, 
 		for i, si := range pr.Insts {
 			off := base + uint64(i*4)
 			if r, ok := litAt[off]; ok {
-				si.Lit = &LitInfo{Key: link.Key(p.Resolve(m, r.Symbol), r.Addend)}
+				k := link.Key(p.Resolve(m, r.Symbol), r.Addend)
+				si.Lit = &LitInfo{Key: k, ID: targets.ID(k, m, math.MaxUint64)}
 			}
 			if r, ok := gprAt[off]; ok {
 				// Optimistically compiled GP-relative reference: already

@@ -162,9 +162,17 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		return &Result{Image: im, Blocks: blocks}, nil
 	}
 
-	stats, err := beforeStats(pg, p)
-	if err != nil {
-		return nil, err
+	// Lift counted the before-statistics. OM-full's plans reduce the GAT,
+	// so its unreduced size takes an assignment of its own; the other
+	// levels' plans are that assignment (see collectAfter below).
+	stats := new(Stats)
+	*stats = pg.before
+	if cfg.level == LevelFull {
+		gat, err := link.AssignGATs(p, nil)
+		if err != nil {
+			return nil, err
+		}
+		stats.GATBytesBefore = gatBytes(gat)
 	}
 
 	if cfg.observer != nil {
@@ -219,17 +227,19 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 	if faultHook != nil {
 		faultHook(pg)
 	}
+	// Renumber after the last phase that adds instructions: the ordinals
+	// locate GP-reset anchors for the statistics and index Emit's address
+	// scratch, which keeps emission read-only on the program.
+	pg.renumber()
+	if cfg.level != LevelFull {
+		stats.GATBytesBefore = pl.GATBytes()
+	}
 	collectAfter(pg, pl, stats)
 	if cfg.observer != nil {
 		if err := cfg.observer(StageOptimized, pg, pl); err != nil {
 			return nil, err
 		}
 	}
-
-	// Renumber after the last phase that adds instructions: the ordinals
-	// index Emit's address scratch, which keeps emission read-only on the
-	// program.
-	pg.renumber()
 
 	var journal *obs.JournalDoc
 	if cfg.trace {
@@ -249,20 +259,4 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		return nil, err
 	}
 	return &Result{Image: im, Stats: stats, Journal: journal}, nil
-}
-
-// beforeStats computes the options-independent before-statistics of a
-// pristine lifted form: static instruction/annotation counts and the
-// baseline (unreduced, unsorted) GAT footprint.
-func beforeStats(pg *Prog, p *link.Program) (*Stats, error) {
-	st := &Stats{}
-	collectBefore(pg, st)
-	basePlan, err := link.AssignGATs(p, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, slots := range basePlan.Slots {
-		st.GATBytesBefore += uint64(len(slots)) * 8
-	}
-	return st, nil
 }

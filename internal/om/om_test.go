@@ -293,12 +293,13 @@ func TestFullFixpointRounds(t *testing.T) {
 	}
 }
 
-func TestMultiGAT(t *testing.T) {
-	// Build a program whose literal pools overflow one GAT. The globals are
-	// arrays whose addresses escape into library calls, so OM cannot rewrite
-	// the accesses GP-relatively once the data is beyond 16-bit reach — the
-	// GAT stays large and split.
-	genModule := func(name string, nglobals int, caller bool) string {
+// multiGATProgram builds a program whose literal pools overflow one GAT:
+// two modules of nglobals arrays each. The arrays' addresses escape into
+// library calls, so OM cannot rewrite the accesses GP-relatively once the
+// data is beyond 16-bit reach — the GAT stays large and split.
+func multiGATProgram(t *testing.T, nglobals int) *link.Program {
+	t.Helper()
+	genModule := func(name string, caller bool) string {
 		var b strings.Builder
 		for i := 0; i < nglobals; i++ {
 			fmt.Fprintf(&b, "long %s_g%d[2];\n", name, i)
@@ -325,32 +326,34 @@ long a_sum();
 		return b.String()
 	}
 	srcs := []tcc.Source{
-		{Name: "a", Text: genModule("a", 6000, true)},
-		{Name: "b", Text: genModule("b", 6000, false)},
+		{Name: "a", Text: genModule("a", true)},
+		{Name: "b", Text: genModule("b", false)},
 	}
 	// Skip the compile-time scheduler: these are single giant basic blocks
 	// and the O(n^2) dependence scan would dominate the test.
 	opts := tcc.DefaultOptions()
 	opts.Schedule = false
-	build := func() *link.Program {
-		var objs []*objfile.Object
-		for _, src := range srcs {
-			obj, err := tcc.Compile(src.Name, []tcc.Source{src}, opts)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			objs = append(objs, obj)
-		}
-		lib, err := rtlib.StandardObjects()
+	var objs []*objfile.Object
+	for _, src := range srcs {
+		obj, err := tcc.Compile(src.Name, []tcc.Source{src}, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("compile: %v", err)
 		}
-		p, err := link.Merge(append(objs, lib...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		objs = append(objs, obj)
 	}
+	lib, err := rtlib.StandardObjects()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := link.Merge(append(objs, lib...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestMultiGAT(t *testing.T) {
+	build := func() *link.Program { return multiGATProgram(t, 6000) }
 	baseIm, err := build().Layout()
 	if err != nil {
 		t.Fatal(err)

@@ -148,3 +148,13 @@ func UnmarshalOptions(data []byte) ([]Option, error) {
 	}
 	return opts, nil
 }
+
+// TraceRequested reports whether Run, given opts, collects the decision
+// journal (WithTrace), without serializing the options.
+func TraceRequested(opts ...Option) bool {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg.trace
+}

@@ -1,8 +1,10 @@
 package om
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -31,14 +33,13 @@ type Plan struct {
 	gat      *link.GATPlan
 	gatStart []uint64
 	gp       []uint64
-	keySlot  []map[link.TargetKey]int
 
-	// Text estimate.
-	procAddr map[*Proc]uint64
+	// Text estimate, indexed by Proc.idx.
+	procAddr []uint64
 
 	// Data placement.
 	secBase    [][objfile.NumSections]uint64
-	commonAddr map[string]uint64
+	commonAddr []uint64  // indexed like Program.Commons
 	dataEnd    [2]uint64 // per region: static, shared
 }
 
@@ -53,31 +54,51 @@ func (pl *Plan) regionOf(m int) int {
 // computePlan lays out the program under the given policy.
 func computePlan(pg *Prog, opts planOpts) (*Plan, error) {
 	p := pg.P
-	pl := &Plan{pg: pg, opts: opts, procAddr: make(map[*Proc]uint64)}
+	addrs := make([]uint64, len(pg.Procs)+len(p.Commons))
+	pl := &Plan{pg: pg, opts: opts,
+		procAddr:   addrs[:len(pg.Procs):len(pg.Procs)],
+		commonAddr: addrs[len(pg.Procs):],
+	}
 
-	// Which module slots are still referenced by live address loads?
-	var keep func(m, slot int) bool
+	// One walk over the instructions. It estimates the text layout —
+	// procedures in order, each aligned to a quadword, placed per region —
+	// and, under GAT reduction, marks the targets of live address loads:
+	// one bitset over target ids per module.
+	var t *link.Targets
+	var live []uint64
+	words := 0
 	if opts.reduceGAT {
-		moduleKeys, err := link.ModuleKeys(p)
-		if err != nil {
+		var err error
+		if t, err = link.TargetsOf(p); err != nil {
 			return nil, err
 		}
-		live := make([]map[link.TargetKey]bool, len(p.Objects))
-		for i := range live {
-			live[i] = make(map[link.TargetKey]bool)
-		}
-		for _, pr := range pg.Procs {
-			for _, si := range pr.Insts {
-				if si.Deleted || si.Lit == nil {
-					continue
-				}
-				if si.Lit.Converted || si.Lit.Nullified {
-					continue
-				}
-				live[pr.Mod][si.Lit.Key] = true
+		words = (len(t.Keys) + 63) / 64
+		live = make([]uint64, len(p.Objects)*words)
+	}
+	tcur := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
+	for _, pr := range pg.Procs {
+		r := pl.regionOf(pr.Mod)
+		tcur[r] = (tcur[r] + 7) &^ 7
+		pl.procAddr[pr.idx] = tcur[r]
+		row := live[pr.Mod*words:]
+		n := 0
+		for _, si := range pr.Insts {
+			if si.Deleted {
+				continue
+			}
+			n++
+			if lit := si.Lit; live != nil && lit != nil && lit.ID >= 0 && !lit.Converted && !lit.Nullified {
+				row[lit.ID/64] |= 1 << (lit.ID % 64)
 			}
 		}
-		keep = func(m, slot int) bool { return live[m][moduleKeys[m][slot]] }
+		tcur[r] += uint64(n) * 4
+	}
+	var keep func(m, slot int) bool
+	if live != nil {
+		keep = func(m, slot int) bool {
+			id := t.Slots[m][slot]
+			return live[m*words+int(id/64)]&(1<<(id%64)) != 0
+		}
 	}
 	gat, err := link.AssignGATs(p, keep)
 	if err != nil {
@@ -85,27 +106,10 @@ func computePlan(pg *Prog, opts planOpts) (*Plan, error) {
 	}
 	pl.gat = gat
 
-	// Text estimate: procedures in order, each aligned to a quadword,
-	// placed per region.
-	tcur := [2]uint64{objfile.TextBase, objfile.SharedTextBase}
-	for _, pr := range pg.Procs {
-		r := pl.regionOf(pr.Mod)
-		tcur[r] = (tcur[r] + 7) &^ 7
-		pl.procAddr[pr] = tcur[r]
-		n := 0
-		for _, si := range pr.Insts {
-			if !si.Deleted {
-				n++
-			}
-		}
-		tcur[r] += uint64(n) * 4
-	}
-
 	// Data placement, per region.
 	dcur := [2]uint64{objfile.DataBase, objfile.SharedDataBase}
-	pl.gatStart = make([]uint64, len(gat.Slots))
-	pl.gp = make([]uint64, len(gat.Slots))
-	pl.keySlot = make([]map[link.TargetKey]int, len(gat.Slots))
+	gatAddrs := make([]uint64, 2*len(gat.Slots))
+	pl.gatStart, pl.gp = gatAddrs[:len(gat.Slots):len(gat.Slots)], gatAddrs[len(gat.Slots):]
 	for g, slots := range gat.Slots {
 		r := 0
 		if gat.GATShared[g] {
@@ -113,27 +117,34 @@ func computePlan(pg *Prog, opts planOpts) (*Plan, error) {
 		}
 		pl.gatStart[g] = dcur[r]
 		pl.gp[g] = pl.gatStart[g] + link.GPOffset
-		pl.keySlot[g] = make(map[link.TargetKey]int, len(slots))
-		for i, k := range slots {
-			pl.keySlot[g][k] = i
-		}
 		dcur[r] += uint64(len(slots)) * 8
 	}
-	pl.commonAddr = make(map[string]uint64)
+	placeCommon := func(i int) {
+		c := p.Commons[i]
+		dcur[0] = (dcur[0] + c.Align - 1) &^ (c.Align - 1)
+		pl.commonAddr[i] = dcur[0]
+		dcur[0] += c.Size
+	}
 	placeCommons := func() {
-		commons := append([]*link.Common(nil), p.Commons...)
-		if opts.sortCommons {
-			sort.Slice(commons, func(i, j int) bool {
-				if commons[i].Size != commons[j].Size {
-					return commons[i].Size < commons[j].Size
-				}
-				return commons[i].Name < commons[j].Name
-			})
+		if !opts.sortCommons {
+			for i := range p.Commons {
+				placeCommon(i)
+			}
+			return
 		}
-		for _, c := range commons {
-			dcur[0] = (dcur[0] + c.Align - 1) &^ (c.Align - 1)
-			pl.commonAddr[c.Name] = dcur[0]
-			dcur[0] += c.Size
+		order := make([]int, len(p.Commons))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			ca, cb := p.Commons[a], p.Commons[b]
+			if c := cmp.Compare(ca.Size, cb.Size); c != 0 {
+				return c
+			}
+			return strings.Compare(ca.Name, cb.Name)
+		})
+		for _, i := range order {
+			placeCommon(i)
 		}
 	}
 	pl.secBase = make([][objfile.NumSections]uint64, len(p.Objects))
@@ -182,16 +193,15 @@ func (pl *Plan) AddrOfKey(k link.TargetKey) (uint64, error) {
 }
 
 // addrOfKeyAt is AddrOfKey with procedure addresses read from the given
-// map — emission passes its finalized addresses, everything else the plan's
+// table, indexed by Proc.idx — emission passes its finalized addresses, everything else the plan's
 // estimates. The plan itself is never written, so one plan serves
 // concurrent emissions.
-func (pl *Plan) addrOfKeyAt(k link.TargetKey, procAddr map[*Proc]uint64) (uint64, error) {
+func (pl *Plan) addrOfKeyAt(k link.TargetKey, procAddr []uint64) (uint64, error) {
 	if k.Kind == link.TCommon {
-		a, ok := pl.commonAddr[k.Name]
-		if !ok {
+		if k.Common < 0 || int(k.Common) >= len(pl.commonAddr) {
 			return 0, fmt.Errorf("om: unplaced common %s", k.Name)
 		}
-		return a + uint64(k.Addend), nil
+		return pl.commonAddr[k.Common] + uint64(k.Addend), nil
 	}
 	sym := &pl.pg.P.Objects[k.Mod].Symbols[k.Sym]
 	switch sym.Kind {
@@ -200,7 +210,7 @@ func (pl *Plan) addrOfKeyAt(k link.TargetKey, procAddr map[*Proc]uint64) (uint64
 		if pr == nil {
 			return 0, fmt.Errorf("om: no lifted procedure for %s", sym.Name)
 		}
-		return procAddr[pr] + uint64(k.Addend), nil
+		return procAddr[pr.idx] + uint64(k.Addend), nil
 	case objfile.SymData:
 		return pl.secBase[k.Mod][sym.Section] + sym.Value + uint64(k.Addend), nil
 	}
@@ -224,19 +234,26 @@ func (pl *Plan) IsTextKey(k link.TargetKey) bool {
 	return pl.pg.P.Objects[k.Mod].Symbols[k.Sym].Kind == objfile.SymProc
 }
 
-// SlotAddr returns the address of the GAT slot for key in GAT group g.
-func (pl *Plan) SlotAddr(g int, k link.TargetKey) (uint64, bool) {
-	i, ok := pl.keySlot[g][k]
-	if !ok {
+// SlotAddr returns the address of the GAT slot for target id (LitInfo.ID)
+// in GAT group g.
+func (pl *Plan) SlotAddr(g int, id int32) (uint64, bool) {
+	if id < 0 {
+		return 0, false
+	}
+	i := pl.gat.SlotOf[g][id]
+	if i < 0 {
 		return 0, false
 	}
 	return pl.gatStart[g] + uint64(i)*8, true
 }
 
 // GATBytes is the total size of all GATs under this plan.
-func (pl *Plan) GATBytes() uint64 {
+func (pl *Plan) GATBytes() uint64 { return gatBytes(pl.gat) }
+
+// gatBytes is the total size of a GAT assignment's tables.
+func gatBytes(gat *link.GATPlan) uint64 {
 	var n uint64
-	for _, slots := range pl.gat.Slots {
+	for _, slots := range gat.Slots {
 		n += uint64(len(slots)) * 8
 	}
 	return n

@@ -92,40 +92,39 @@ func isCallSite(si *SInst) bool {
 	return si.In.Op == axp.BSR && si.Call != nil
 }
 
-// collectBefore fills the pre-optimization counters from the lifted form.
-func collectBefore(pg *Prog, s *Stats) {
-	for _, pr := range pg.Procs {
-		resets := liveResetIndex(pr)
-		for _, si := range pr.Insts {
-			s.Instructions++
-			if si.Lit != nil {
-				s.AddressLoads++
-			}
-			if !isCallSite(si) {
-				continue
-			}
-			s.CallSites++
-			if si.Indirect {
-				s.IndirectCalls++
-			}
-			if si.Indirect || si.PVLit != nil {
-				s.PVBefore++
-			}
-			if si.In.Op == axp.JSR {
-				s.JSRBefore++
-			}
-			if resets[si] {
-				s.GPResetBefore++
-			}
-		}
+// addBefore adds o's before-statistics (the fields lift counts) to s.
+func (s *Stats) addBefore(o *Stats) {
+	s.Instructions += o.Instructions
+	s.AddressLoads += o.AddressLoads
+	s.CallSites += o.CallSites
+	s.IndirectCalls += o.IndirectCalls
+	s.PVBefore += o.PVBefore
+	s.JSRBefore += o.JSRBefore
+	s.GPResetBefore += o.GPResetBefore
+}
+
+// countCallBefore counts a lifted call site's before-statistics, all but
+// its GP reset.
+func (s *Stats) countCallBefore(si *SInst) {
+	s.CallSites++
+	if si.Indirect {
+		s.IndirectCalls++
+	}
+	if si.Indirect || si.PVLit != nil {
+		s.PVBefore++
+	}
+	if si.In.Op == axp.JSR {
+		s.JSRBefore++
 	}
 }
 
-// collectAfter fills the post-optimization counters.
+// collectAfter fills the post-optimization counters. It reads the
+// instruction ordinals of the last renumber.
 func collectAfter(pg *Prog, pl *Plan, s *Stats) {
+	var resets []bool
 	for _, pr := range pg.Procs {
-		resets := liveResetIndex(pr)
-		for _, si := range pr.Insts {
+		resets = liveResets(pr, resets)
+		for i, si := range pr.Insts {
 			if si.Lit != nil {
 				// Count removals even when the load itself was deleted.
 				if si.Lit.Converted {
@@ -151,7 +150,7 @@ func collectAfter(pg *Prog, pl *Plan, s *Stats) {
 			if pvStillNeeded(si) {
 				s.PVAfter++
 			}
-			if resets[si] {
+			if resets[i] {
 				s.GPResetAfter++
 			}
 		}
@@ -171,17 +170,27 @@ func pvStillNeeded(si *SInst) bool {
 	return !lit.Deleted && !lit.In.IsNop() && lit.Lit != nil && !lit.Lit.Nullified
 }
 
-// liveResetIndex maps each call instruction to whether a live GP-reset pair
-// is anchored to it.
-func liveResetIndex(pr *Proc) map[*SInst]bool {
-	m := make(map[*SInst]bool)
+// liveResets marks, per instruction of the procedure, whether a live
+// GP-reset pair is anchored to it (a call). It locates each anchor by its
+// ordinal, so the procedure must be renumbered; buf is reused.
+func liveResets(pr *Proc, buf []bool) []bool {
+	buf = fit(buf, len(pr.Insts))[:len(pr.Insts)]
+	clear(buf)
+	if len(pr.Insts) == 0 {
+		return buf
+	}
+	first := pr.Insts[0].ord
 	for _, si := range pr.Insts {
-		if si.Deleted || si.GPD == nil || !si.GPD.High || si.GPD.Entry {
+		if si.Deleted || si.GPD == nil || !si.GPD.High || si.GPD.Entry || si.In.IsNop() {
 			continue
 		}
-		if !si.In.IsNop() {
-			m[si.GPD.AfterCall] = true
+		call := si.GPD.AfterCall
+		if call == nil {
+			continue
+		}
+		if i := int(call.ord - first); i >= 0 && i < len(buf) && pr.Insts[i] == call {
+			buf[i] = true
 		}
 	}
-	return m
+	return buf
 }

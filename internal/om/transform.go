@@ -355,20 +355,3 @@ func procUsesGP(pr *Proc) bool {
 	}
 	return false
 }
-
-// keyOfProc builds the TargetKey identifying a procedure's address.
-func keyOfProc(pr *Proc) link.TargetKey {
-	return link.TargetKey{Kind: link.TDef, Mod: pr.Mod, Sym: pr.Sym}
-}
-
-// procInAnyGAT reports whether the procedure's address still has a GAT slot
-// under the plan (i.e., some remaining address load or PV load targets it).
-func procInAnyGAT(pl *Plan, pr *Proc) bool {
-	k := keyOfProc(pr)
-	for g := range pl.keySlot {
-		if _, ok := pl.keySlot[g][k]; ok {
-			return true
-		}
-	}
-	return false
-}

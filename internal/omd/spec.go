@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,6 +33,8 @@ import (
 	"mime"
 	"mime/multipart"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -93,10 +96,8 @@ type JobSpec struct {
 // so the keys hash the raw bytes and decoding happens when the job links
 // (where a malformed module fails the job rather than the submission).
 type resolved struct {
-	spec     JobSpec
-	canonOpt []byte      // canonical om-options/v1 bytes
-	opts     []om.Option // decoded option list (level/sched/ablation/trace/…)
-	traced   bool        // options request a decision journal
+	spec JobSpec
+	optionSet
 	check    verify.CheckLevel
 	prof     *profile.Profile
 	bench    benchspec.Benchmark // benchmark jobs
@@ -131,34 +132,14 @@ func (js *JobSpec) resolve() (*resolved, error) {
 		return nil, fmt.Errorf("omd: %w", err)
 	}
 
-	optDoc := js.Options
-	if optDoc == nil {
-		d, err := om.MarshalOptions()
-		if err != nil {
-			return nil, err
-		}
-		optDoc = d
+	if js.Options == nil {
+		r.optionSet, err = defaultOptions()
+	} else {
+		r.optionSet, err = parseOptions(js.Options)
 	}
-	opts, err := om.UnmarshalOptions(optDoc)
 	if err != nil {
 		return nil, err
 	}
-	// Re-marshal so the key sees one canonical byte form regardless of the
-	// client's whitespace or field order.
-	canon, err := om.MarshalOptions(opts...)
-	if err != nil {
-		return nil, err
-	}
-	r.canonOpt, r.opts = canon, opts
-	// The canonical form is pinned by om's golden test, so probing one
-	// field of it is stable.
-	var probe struct {
-		Trace bool `json:"trace"`
-	}
-	if err := json.Unmarshal(canon, &probe); err != nil {
-		return nil, err
-	}
-	r.traced = probe.Trace
 
 	if js.Profile != nil {
 		p, err := profile.Read(bytes.NewReader(js.Profile))
@@ -195,6 +176,38 @@ func (js *JobSpec) resolve() (*resolved, error) {
 	r.computeKey()
 	return r, nil
 }
+
+// optionSet is a job's decoded option list with its canonical form.
+type optionSet struct {
+	canonOpt []byte      // canonical om-options/v1 bytes
+	opts     []om.Option // decoded option list (level/sched/ablation/trace/…)
+	traced   bool        // options request a decision journal
+}
+
+// parseOptions decodes an om-options/v1 document and re-marshals it, so the
+// key sees one canonical byte form regardless of the client's whitespace or
+// field order.
+func parseOptions(doc []byte) (optionSet, error) {
+	opts, err := om.UnmarshalOptions(doc)
+	if err != nil {
+		return optionSet{}, err
+	}
+	canon, err := om.MarshalOptions(opts...)
+	if err != nil {
+		return optionSet{}, err
+	}
+	return optionSet{canonOpt: canon, opts: slices.Clip(opts), traced: om.TraceRequested(opts...)}, nil
+}
+
+// defaultOptions is the option set of a job without options, resolved once
+// per process. Every job shares its slices, which nothing writes.
+var defaultOptions = sync.OnceValues(func() (optionSet, error) {
+	doc, err := om.MarshalOptions()
+	if err != nil {
+		return optionSet{}, err
+	}
+	return parseOptions(doc)
+})
 
 // versionError rejects a job document of another version.
 func versionError(v string) error {
@@ -373,29 +386,55 @@ func (r *resolved) profileHash() string {
 // and the check level, which change a job's result but never its image.
 // Execution computes it, so a memo-hit submission never pays for it.
 func (r *resolved) imageKey() string {
-	h := sha256.New()
-	writeStr(h, SpecVersion+"/image")
-	writeStr(h, r.progKey)
-	writeStr(h, string(r.canonOpt))
-	writeStr(h, r.profileHash())
-	return fmt.Sprintf("%x", h.Sum(nil))
+	h := newKeyHash()
+	h.str(SpecVersion + "/image")
+	h.str(r.progKey)
+	h.bytes(r.canonOpt)
+	h.str(r.profileHash())
+	return h.hexSum()
 }
 
-// writeStr feeds a length-prefixed string to a key hash.
-func writeStr(h hash.Hash, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+// keyHash is a SHA-256 key hash fed length-prefixed strings. A string and
+// its prefix go through one reused buffer, so feeding one never allocates
+// a copy of it.
+type keyHash struct {
+	hash.Hash
+	buf []byte
+}
+
+func newKeyHash() *keyHash {
+	return &keyHash{Hash: sha256.New(), buf: make([]byte, 0, 256)}
+}
+
+// str feeds a length-prefixed string.
+func (h *keyHash) str(s string) {
+	h.buf = binary.LittleEndian.AppendUint64(h.buf[:0], uint64(len(s)))
+	h.buf = append(h.buf, s...)
+	h.Write(h.buf)
+}
+
+// bytes feeds a length-prefixed byte string, framed like str.
+func (h *keyHash) bytes(b []byte) {
+	h.buf = binary.LittleEndian.AppendUint64(h.buf[:0], uint64(len(b)))
+	h.Write(h.buf)
+	h.Write(b)
+}
+
+// hexSum returns the hash in hex and resets it for the next key.
+func (h *keyHash) hexSum() string {
+	h.buf = h.Sum(h.buf[:0])
+	s := hex.EncodeToString(h.buf)
+	h.Reset()
+	return s
 }
 
 // computeKey hashes the program inputs once, into progKey, and derives the
 // coalescing key from progKey, the variant and the profile hash, so an
 // upload's bytes go through SHA-256 exactly once per submission.
 func (r *resolved) computeKey() {
-	h := sha256.New()
+	h := newKeyHash()
 	if r.spec.Benchmark == "" {
-		writeStr(h, SpecVersion+"/program/objects")
+		h.str(SpecVersion + "/program/objects")
 		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(r.spec.Objects)))
 		h.Write(n[:])
@@ -408,22 +447,21 @@ func (r *resolved) computeKey() {
 		// Benchmark jobs hash a digest of the sources, not just the name,
 		// so the key stays content-addressed across daemon versions that
 		// ship different generated suites.
-		writeStr(h, SpecVersion+"/program/bench")
-		writeStr(h, r.bench.Name)
-		writeStr(h, fmt.Sprint(r.eachMode))
-		writeStr(h, sourceDigests()[r.bench.Name])
+		h.str(SpecVersion + "/program/bench")
+		h.str(r.bench.Name)
+		h.str(strconv.FormatBool(r.eachMode))
+		h.str(sourceDigests()[r.bench.Name])
 	}
 	// The runtime library is resident per server process, so its content
 	// needs no hashing here; whether it is linked does.
-	writeStr(h, fmt.Sprint(r.spec.NoStdlib))
-	r.progKey = fmt.Sprintf("%x", h.Sum(nil))
+	h.str(strconv.FormatBool(r.spec.NoStdlib))
+	r.progKey = h.hexSum()
 
-	k := sha256.New()
-	writeStr(k, SpecVersion+"/job")
-	writeStr(k, r.progKey)
-	writeStr(k, r.variant())
-	writeStr(k, r.profileHash())
-	r.key = fmt.Sprintf("%x", k.Sum(nil))
+	h.str(SpecVersion + "/job")
+	h.str(r.progKey)
+	h.str(r.variant())
+	h.str(r.profileHash())
+	r.key = h.hexSum()
 }
 
 // sourceDigests maps each built-in benchmark's name to the SHA-256 of its
@@ -432,13 +470,14 @@ func (r *resolved) computeKey() {
 // hashing the sources on every submission.
 var sourceDigests = sync.OnceValue(func() map[string]string {
 	digests := make(map[string]string)
+	h := newKeyHash()
 	for _, b := range benchspec.All() {
-		h := sha256.New()
 		for _, m := range b.Modules {
-			writeStr(h, m.Name)
-			writeStr(h, m.Text)
+			h.str(m.Name)
+			h.str(m.Text)
 		}
 		digests[b.Name] = string(h.Sum(nil))
+		h.Reset()
 	}
 	return digests
 })
