@@ -23,8 +23,8 @@ test:
 # (coalescing, queue, drain, panic recovery), the build cache, concurrent
 # links of one shared program (om's TestSharedProgramRunsByteIdentical:
 # Run never mutates its input), the telemetry layer (concurrent span
-# recording, registry snapshots, the flight recorder ring), and the
-# verification engine must stay race-clean.
+# recording, registry snapshots), and the verification engine must stay
+# race-clean.
 race:
 	$(GO) test -race ./internal/harness ./internal/om ./internal/omd \
 		./internal/link ./internal/buildcache ./internal/obs ./internal/verify \
@@ -146,7 +146,8 @@ pgo-smoke:
 # It then uploads a program's objects as multipart parts and requires the
 # served image to equal a local link of the same modules, and the same
 # upload with simulate flipped to be served those bytes from the image
-# cache.
+# index. Last, /debug/flights must list the newest finished jobs of
+# GET /jobs, and resubmitting the first load job must be a memo hit.
 omd-smoke:
 	$(GO) run ./cmd/omd -loadsmoke -smoke-clients 32
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	omd [-addr :7333] [-j N] [-queue N] [-timeout 5m] [-cache dir|off]
-//	    [-slow dur] [-flights N] [-checksample N] [-v]
+//	    [-slow dur] [-checksample N] [-v]
 //	omd -loadsmoke [-smoke-clients N]
 //
 // -checksample N shadow-checks every Nth fresh link of an unchecked job at
@@ -16,9 +16,10 @@
 // request a check level (JobSpec check, `omctl submit -check`) are always
 // checked and do fail on a bad check.
 //
-// Every job gets a span-tree trace (GET /jobs/{id}/trace; recent completed
-// traces at GET /debug/flights), structured logs correlate by trace id, and
-// -slow logs the full span tree of any job slower than the threshold.
+// Every job gets a span-tree trace (GET /jobs/{id}/trace; the newest
+// finished jobs' traces at GET /debug/flights), structured logs correlate
+// by trace id, and -slow logs the full span tree of any job slower than the
+// threshold.
 //
 // SIGINT/SIGTERM drains gracefully: admissions stop (503), queued and
 // running jobs finish, then the process exits; a second signal (or the
@@ -30,7 +31,10 @@
 // every client receiving identical bytes and the executed job's trace
 // carrying every lifecycle span. It then uploads a benchmark's compiled
 // modules as object parts and requires the served image to equal a local
-// link of the same modules.
+// link of the same modules, and the same upload with simulate flipped to be
+// served those bytes from the image index. Last it requires GET
+// /debug/flights to list the newest finished jobs of GET /jobs, and a
+// resubmission of the first load job to be a memo hit.
 package main
 
 import (
@@ -74,7 +78,6 @@ func main() {
 	cacheDir := flag.String("cache", os.Getenv("OMD_CACHE"),
 		"build cache directory ('' = in-memory only, 'off' = disabled; default $OMD_CACHE)")
 	slow := flag.Duration("slow", 30*time.Second, "log the full span tree of jobs slower than this (0 = never)")
-	flights := flag.Int("flights", 0, "completed traces retained for /debug/flights (0 = default 128)")
 	checkSample := flag.Int("checksample", 0, "shadow-check every Nth fresh link at the full level (0 = off); failures log + count, never fail the job")
 	verbose := flag.Bool("v", false, "log job progress to stderr")
 	loadSmoke := flag.Bool("loadsmoke", false, "run the coalescing load self-test and exit")
@@ -82,13 +85,12 @@ func main() {
 	flag.Parse()
 
 	cfg := omd.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		JobTimeout:         *timeout,
-		Metrics:            obs.NewRegistry(),
-		SlowJob:            *slow,
-		FlightRecorderSize: *flights,
-		CheckSample:        *checkSample,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		JobTimeout:  *timeout,
+		Metrics:     obs.NewRegistry(),
+		SlowJob:     *slow,
+		CheckSample: *checkSample,
 	}
 	if *verbose || *loadSmoke {
 		cfg.Logger = stderrLogger{}
@@ -208,13 +210,52 @@ func runLoadSmoke(srv *omd.Server, n int) error {
 	}
 	fmt.Fprintf(os.Stderr, "omd: loadsmoke: %d clients -> 1 execution (%d coalesced/memo) in %v, image %d bytes\n",
 		n, coalesced, time.Since(start), len(images[0]))
-	return checkUpload(ctx, c, "li")
+	if err := checkUpload(ctx, c, "li"); err != nil {
+		return err
+	}
+	return checkRetention(ctx, c, spec)
+}
+
+// checkRetention requires GET /debug/flights to list the traces of the
+// newest finished jobs of GET /jobs, newest first, and a resubmission of
+// the first load job to be a memo hit.
+func checkRetention(ctx context.Context, c *client.Client, first *omd.JobSpec) error {
+	jobs, err := c.List(ctx)
+	if err != nil {
+		return err
+	}
+	flights, err := c.Flights(ctx, len(jobs))
+	if err != nil {
+		return fmt.Errorf("flights check: %w", err)
+	}
+	var got, want []string
+	for i := len(jobs) - 1; i >= 0; i-- {
+		if jobs[i].State == omd.JobDone || jobs[i].State == omd.JobFailed {
+			want = append(want, jobs[i].TraceID)
+		}
+	}
+	for _, doc := range flights {
+		got = append(got, doc.TraceID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Errorf("flights check: /debug/flights lists %v, want the finished jobs' traces %v", got, want)
+	}
+	st, err := c.SubmitWait(ctx, first)
+	if err != nil {
+		return fmt.Errorf("memo check: %w", err)
+	}
+	if st.State != omd.JobDone || !st.MemoHit {
+		return fmt.Errorf("memo check: job %s: state %s (%s), memo hit %v; want a done memo hit",
+			st.ID, st.State, st.Error, st.MemoHit)
+	}
+	fmt.Fprintf(os.Stderr, "omd: loadsmoke: /debug/flights lists the %d finished jobs; resubmitting the first is a memo hit\n", len(got))
+	return nil
 }
 
 // checkUpload compiles a benchmark's modules, submits their objfile bytes
 // as an upload, and requires the served image to equal a local link of the
 // same modules under the same (default) options. It then resubmits the
-// upload with simulate flipped and requires the image cache to serve the
+// upload with simulate flipped and requires the image index to serve the
 // same bytes.
 func checkUpload(ctx context.Context, c *client.Client, bench string) error {
 	b, ok := benchspec.ByName(bench)
@@ -270,7 +311,8 @@ func checkUpload(ctx context.Context, c *client.Client, bench string) error {
 		len(spec.Objects), bench, len(served))
 
 	// The same upload with simulate flipped is a new job but the same
-	// image: the server must serve its cached bytes.
+	// image: the server must serve the first job's bytes from its image
+	// index.
 	resim := *spec
 	resim.Simulate = !spec.Simulate
 	st, err = c.SubmitWait(ctx, &resim)

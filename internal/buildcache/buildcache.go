@@ -1,17 +1,20 @@
 // Package buildcache is a content-addressed cache for compiled object
-// modules. A cache key is the SHA-256 of everything that determines the
-// compiler's output — unit name, every source file (name and text), and the
-// full compilation option set — so a hit is always safe to reuse, in the
-// spirit of WHOPR-style incremental whole-program builds: unchanged
-// compilation inputs are never recompiled.
+// modules and linked images. A cache key is the SHA-256 of everything that
+// determines the compiler's output — unit name, every source file (name and
+// text), and the full compilation option set — so a hit is always safe to
+// reuse, in the spirit of WHOPR-style incremental whole-program builds:
+// unchanged compilation inputs are never recompiled.
 //
 // Entries hold serialized bytes. An object lookup decodes a fresh
 // *objfile.Object, so callers may treat cached results exactly like freshly
-// compiled ones; a linked image goes in and comes out as its serialized
-// bytes, one read-only slice shared by every lookup. A Cache is optionally
-// backed by a directory, letting repeated omrepro or benchmark runs across
-// processes skip compilation entirely; with an empty directory name the
-// cache is memory-only.
+// compiled ones. A Cache is optionally backed by a directory, letting
+// repeated omrepro or benchmark runs across processes skip compilation
+// entirely; with an empty directory name the cache is memory-only.
+//
+// Compiled objects are kept in memory and, with a directory, on disk.
+// Linked images are kept only on disk: each image lookup reads its file, so
+// a memory-only cache stores no images. A process that serves images again
+// (omd) keeps the ones it holds in its own records.
 //
 // All methods are safe for concurrent use, and every method tolerates a nil
 // receiver (acting as a pass-through with no caching), so callers can thread
@@ -49,16 +52,18 @@ type Stats struct {
 	DiskHits uint64
 	// ImageHits / ImageMisses count linked-image lookups (GetImage); they
 	// are tallied separately so the compile-count identity above survives.
+	// Every lookup in a memory-only cache is a miss.
 	ImageHits   uint64
 	ImageMisses uint64
 }
 
-// Cache is a content-addressed store of serialized object modules.
+// Cache is a content-addressed store of serialized object modules and
+// linked images.
 type Cache struct {
 	dir string
 
 	mu    sync.Mutex
-	mem   map[string][]byte
+	mem   map[string][]byte // compiled objects
 	stats Stats
 }
 
@@ -167,16 +172,17 @@ func (c *Cache) Put(key string, obj *objfile.Object) error {
 	if c == nil {
 		return nil
 	}
-	return c.store(key, obj.Encode(), c.entryPath(key))
-}
-
-// store keeps data under the key in memory and, when the cache has a
-// directory, writes it to path through a temporary file and rename so that
-// readers never observe a partial entry.
-func (c *Cache) store(key string, data []byte, path string) error {
+	data := obj.Encode()
 	c.mu.Lock()
 	c.mem[key] = data
 	c.mu.Unlock()
+	return c.write(data, c.entryPath(key))
+}
+
+// write stores data at path in the cache's directory through a temporary
+// file and rename, so that readers never observe a partial entry. A
+// memory-only cache writes nothing.
+func (c *Cache) write(data []byte, path string) error {
 	if c.dir == "" {
 		return nil
 	}
@@ -254,33 +260,26 @@ func ImageKey(objs []*objfile.Object, variant, profileHash string) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// GetImage returns the serialized linked image stored under the key, if
-// cached. The slice is the cache's own copy, shared by every caller:
-// callers must not modify it. An entry read from the backing directory is
-// decoded once, on that first read, and kept only if it is a well-formed
-// image; a corrupt file (say, a truncated write by a killed process) is a
-// miss, which the caller's PutImage then overwrites.
+// GetImage reads the serialized linked image stored under the key from the
+// backing directory; the caller owns the returned bytes. Only a well-formed
+// image is a hit: a corrupt file (say, a truncated write by a killed
+// process) is a miss, which the caller's PutImage then overwrites. In a
+// memory-only cache every lookup is a miss.
 func (c *Cache) GetImage(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
-	c.mu.Lock()
-	data, ok := c.mem[key]
-	c.mu.Unlock()
-	if !ok && c.dir != "" {
+	var data []byte
+	if c.dir != "" {
 		if b, err := os.ReadFile(c.imagePath(key)); err == nil {
 			if _, err := objfile.ReadImage(bytes.NewReader(b)); err == nil {
-				data, ok = b, true
+				data = b
 			}
 		}
 	}
+	ok := data != nil // a well-formed image is never empty
 	c.mu.Lock()
 	if ok {
-		if cur, cached := c.mem[key]; cached {
-			data = cur
-		} else {
-			c.mem[key] = data
-		}
 		c.stats.ImageHits++
 	} else {
 		c.stats.ImageMisses++
@@ -289,15 +288,14 @@ func (c *Cache) GetImage(key string) ([]byte, bool) {
 	return data, ok
 }
 
-// PutImage stores a serialized linked image under the key, in memory and
-// (when configured) on disk. The cache keeps data itself, not a copy, and
-// hands the same slice to every GetImage: callers must not modify it
-// afterwards.
+// PutImage writes a serialized linked image under the key to the backing
+// directory. A memory-only cache keeps no images, so there it does
+// nothing.
 func (c *Cache) PutImage(key string, data []byte) error {
 	if c == nil {
 		return nil
 	}
-	return c.store(key, data, c.imagePath(key))
+	return c.write(data, c.imagePath(key))
 }
 
 func (c *Cache) imagePath(key string) string {

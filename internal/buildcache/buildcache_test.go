@@ -175,43 +175,46 @@ func linkedImage(t *testing.T, objs []*objfile.Object) []byte {
 	return res.Image.Encode()
 }
 
-// TestImageCacheSharesStoredBytes: an image entry is bytes in, bytes out.
-// Every GetImage hands back the slice PutImage stored, not a copy, so a hit
-// costs no allocation proportional to the image; and one read from the
-// backing directory keeps its bytes, so later lookups share them too.
-func TestImageCacheSharesStoredBytes(t *testing.T) {
+// TestImageCacheKeepsImagesOnDisk: images live only in the backing
+// directory. A memory-only cache stores none, so every lookup misses; with
+// a directory, each lookup reads the file afresh and hands the caller bytes
+// of its own, equal to what PutImage stored.
+func TestImageCacheKeepsImagesOnDisk(t *testing.T) {
 	obj, err := tcc.Compile("u", testSrc, tcc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := linkedImage(t, []*objfile.Object{obj})
-	dir := t.TempDir()
-	c, err := buildcache.New(dir)
+
+	mem, err := buildcache.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.PutImage("k", data); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := mem.GetImage("k"); ok || got != nil {
+		t.Errorf("memory-only cache: hit %v with %d bytes, want a miss", ok, len(got))
+	}
+	if st := mem.Stats(); st.ImageHits != 0 || st.ImageMisses != 1 {
+		t.Errorf("memory-only image stats = %+v, want 1 miss", st)
+	}
+
+	c, err := buildcache.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PutImage("k", data); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		got, ok := c.GetImage("k")
-		if !ok || len(got) != len(data) || &got[0] != &data[0] {
-			t.Fatalf("lookup %d: hit %v; GetImage must return the stored slice itself", i, ok)
-		}
+	first, ok := c.GetImage("k")
+	if !ok || !bytes.Equal(first, data) || &first[0] == &data[0] {
+		t.Fatalf("directory cache: hit %v; want a fresh copy of the stored image", ok)
 	}
-
-	disk, err := buildcache.New(dir)
-	if err != nil {
-		t.Fatal(err)
+	if again, _ := c.GetImage("k"); &again[0] == &first[0] {
+		t.Error("a second lookup returned the first lookup's slice, want a fresh read")
 	}
-	first, ok := disk.GetImage("k")
-	if !ok || !bytes.Equal(first, data) {
-		t.Fatalf("disk entry: hit %v, want the stored image", ok)
-	}
-	if again, _ := disk.GetImage("k"); &again[0] != &first[0] {
-		t.Error("a second lookup of a disk entry returned a different slice")
-	}
-	if st := disk.Stats(); st.ImageHits != 2 || st.ImageMisses != 0 {
+	if st := c.Stats(); st.ImageHits != 2 || st.ImageMisses != 0 {
 		t.Errorf("image stats = %+v, want 2 hits", st)
 	}
 }

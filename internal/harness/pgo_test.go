@@ -11,12 +11,13 @@ import (
 // TestRunPGO drives the whole F-PGO feedback loop on one call-heavy
 // benchmark: the row must carry a real profile, the behavioral verification
 // inside pgoBenchmark must hold (RunPGO errors otherwise), and a second run
-// against the same cache must serve the relink from the image cache.
+// against the same cache directory must serve the relink from the image
+// cache (a memory-only cache keeps no images).
 func TestRunPGO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pgo loop in -short mode")
 	}
-	cache, err := buildcache.New("")
+	cache, err := buildcache.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,9 +175,13 @@ func AssignGATs(p *Program, keep func(m, slot int) bool) (*GATPlan, error) {
 			}
 		}
 		// A shared library never shares a GAT with the static part (or with
-		// a different library region), and tables split on overflow.
+		// a different library region), and tables split on overflow. The
+		// open GAT's region is its modules', not its slots': once GAT
+		// reduction has dropped every slot of the modules before m, they
+		// still address their data from its GP, so a module of the other
+		// region opens a GAT of its own.
 		g := len(plan.Slots) - 1
-		if (plan.GATShared[g] != p.IsShared(m) && len(slots) > 0) ||
+		if (plan.GATShared[g] != p.IsShared(m) && m > 0) ||
 			len(slots)+fresh > MaxGATSlots {
 			if fresh > MaxGATSlots {
 				return nil, fmt.Errorf("link: module %s needs %d GAT slots; max is %d",

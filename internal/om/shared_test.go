@@ -8,6 +8,8 @@ import (
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/rtlib"
+	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/tcc"
 )
 
@@ -151,5 +153,45 @@ func TestSharedLibraryStaticSideStillOptimized(t *testing.T) {
 	}
 	if st.GATBytesAfter >= st.GATBytesBefore {
 		t.Errorf("GAT not reduced: %d -> %d", st.GATBytesBefore, st.GATBytesAfter)
+	}
+}
+
+// TestSharedLibrarySuite links every benchmark with libmath and libutil
+// marked shared at each level and runs it against the unoptimized layout.
+// GAT reduction can empty the static GAT before the first shared module is
+// assigned; the shared library must still get a GAT of its own, or the
+// static procedures' GP moves into the shared data region and their
+// GP-relative references stop fitting. The simulator runs one goroutine,
+// so under the race detector, which slows it most, the test only links.
+func TestSharedLibrarySuite(t *testing.T) {
+	for _, b := range spec.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			shared := func() *link.Program {
+				p := buildProgram(t, b.Modules)
+				p.MarkShared("libmath", "libutil")
+				return p
+			}
+			base, err := shared().Layout()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *sim.Result
+			if !raceEnabled {
+				want = run(t, base)
+			}
+			for _, level := range []Level{LevelNone, LevelSimple, LevelFull} {
+				res, err := Run(context.Background(), shared(), WithLevel(level))
+				if err != nil {
+					t.Fatalf("%v: %v", level, err)
+				}
+				if want == nil {
+					continue
+				}
+				if got := run(t, res.Image); fmt.Sprint(got.Exit, got.Output) != fmt.Sprint(want.Exit, want.Output) {
+					t.Errorf("%v: exit %d output %v, want exit %d output %v",
+						level, got.Exit, got.Output, want.Exit, want.Output)
+				}
+			}
+		})
 	}
 }

@@ -137,7 +137,7 @@ func (c *Client) SubmitWait(ctx context.Context, spec *omd.JobSpec) (*omd.JobSta
 
 // SubmitTraced enqueues a job under a caller-chosen trace id, propagated to
 // the server in the Om-Trace-Id header so the job's span tree, log lines,
-// and flight-recorder entry all carry the caller's correlation key. An
+// and /debug/flights entry all carry the caller's correlation key. An
 // empty id lets the server assign one (identical to Submit/SubmitWait).
 func (c *Client) SubmitTraced(ctx context.Context, spec *omd.JobSpec, traceID string, wait bool) (*omd.JobStatus, error) {
 	return c.submit(ctx, spec, traceID, wait)
@@ -306,8 +306,9 @@ func (c *Client) Trace(ctx context.Context, id string) (*obs.TraceDoc, error) {
 	return &doc, nil
 }
 
-// Flights fetches the server's most recent completed traces, newest first.
-// n <= 0 returns everything the flight recorder retains.
+// Flights fetches the traces of the server's newest finished jobs, newest
+// first in submission order: at most n, or the server's default count when
+// n <= 0.
 func (c *Client) Flights(ctx context.Context, n int) ([]*obs.TraceDoc, error) {
 	path := "/debug/flights"
 	if n > 0 {

@@ -46,9 +46,10 @@ func (s *Server) SubmitProbe(js *JobSpec) (bool, error) {
 }
 
 // ExecuteProbe resolves the spec and returns a function that runs one
-// execution of it directly — no admission, memo, trace or HTTP — and
-// reports the result's image bytes and whether the image cache served them,
-// so tests can pin what an execution costs apart from resolving its spec.
+// execution of it directly — no admission, memo lookup, trace or HTTP —
+// retains its result as a finished flight does, and reports the result's
+// image bytes and whether the image index served them, so tests can pin
+// what an execution costs apart from resolving its spec.
 func (s *Server) ExecuteProbe(js *JobSpec) (func(context.Context) ([]byte, bool, error), error) {
 	rs, err := js.resolve()
 	if err != nil {
@@ -59,6 +60,9 @@ func (s *Server) ExecuteProbe(js *JobSpec) (func(context.Context) ([]byte, bool,
 		if err != nil {
 			return nil, false, err
 		}
+		s.mu.Lock()
+		s.retain(rs.key, res)
+		s.mu.Unlock()
 		return res.image, res.imageCacheHit, nil
 	}, nil
 }

@@ -46,16 +46,14 @@ type Config struct {
 	// JobTimeout caps every job's queue-wait + execution time (a job may
 	// request less via TimeoutMS). <= 0 selects 5 minutes.
 	JobTimeout time.Duration
-	// MemoLimit bounds the completed-result memo (FIFO eviction); <= 0
-	// selects 256 entries.
-	MemoLimit int
 	// CheckSample, when > 0, shadow-checks every Nth fresh execution of an
 	// unchecked job at the full level. A shadow failure logs and bumps
 	// omd/check-shadow-failures but never fails the job — only jobs whose
 	// spec sets a check level fail on a bad check. 0 disables sampling.
 	CheckSample int
-	// Cache persists compiled objects and linked images across jobs (and,
-	// with a directory, across restarts). Nil runs uncached.
+	// Cache keeps compiled objects across jobs and, with a directory,
+	// compiled objects and linked images across restarts. Nil runs
+	// uncached.
 	Cache *buildcache.Cache
 	// Metrics receives the service's counters, gauges, and latency
 	// histograms; nil creates a private registry (it still backs
@@ -63,9 +61,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger receives progress lines; nil discards them.
 	Logger Logger
-	// FlightRecorderSize bounds the ring of completed job traces served at
-	// GET /debug/flights (<= 0 selects 128).
-	FlightRecorderSize int
 	// SlowJob, when > 0, logs the full span tree of any job whose total
 	// latency (admission to finish) reaches it, at Warn level on Slog.
 	SlowJob time.Duration
@@ -108,7 +103,8 @@ type flight struct {
 	exec *obs.Span
 }
 
-// result is a completed execution's payload, memoized by key.
+// result is a completed execution's payload. The done job records that
+// hold it own it; the memo and the image index only point at it.
 type result struct {
 	image         []byte
 	stats         *om.Stats
@@ -116,6 +112,9 @@ type result struct {
 	check         *verify.CheckDoc
 	sim           *SimStats
 	imageCacheHit bool
+	// imageKey is the image's key in the image index, "" for a traced or
+	// checked job, whose image the index never serves.
+	imageKey string
 }
 
 // jobRecord is the server-side state of one submitted job.
@@ -134,8 +133,8 @@ type jobRecord struct {
 
 	// trace is the job's live span tree, rooted at request receipt, and
 	// wait its open queue-wait (or attached-wait) span. traceDoc is the
-	// immutable snapshot taken when the job reaches a terminal state, also
-	// pushed into the flight recorder; taking it drops trace and wait, so a
+	// immutable snapshot taken when the job reaches a terminal state, which
+	// GET /debug/flights lists; taking it drops trace and wait, so a
 	// terminal record holds one copy of its spans. queueWait/exec are the
 	// derived phase durations surfaced in JobStatus.
 	traceID   string
@@ -148,6 +147,11 @@ type jobRecord struct {
 
 // Server owns the admission queue, the worker pool, and the job store. It
 // serves the HTTP API via Handler.
+//
+// The job store (jobs, order) is the only in-memory owner of finished
+// work: every record keeps its result and its trace document. The memo,
+// the image index and GET /debug/flights all read what retained records
+// hold, so a bound on the store bounds them too.
 type Server struct {
 	cfg     Config
 	reg     *obs.Registry
@@ -155,7 +159,6 @@ type Server struct {
 	log     Logger
 	slog    *slog.Logger
 	now     func() time.Time
-	rec     *obs.FlightRecorder
 	started time.Time
 
 	baseCtx    context.Context
@@ -163,15 +166,17 @@ type Server struct {
 	queue      chan *flight
 	wg         sync.WaitGroup
 
-	mu        sync.Mutex
-	draining  bool
-	running   int // flights currently executing on workers
-	flights   map[string]*flight
-	memo      map[string]*result
-	memoOrder []string
-	jobs      map[string]*jobRecord
-	order     []string
-	nextID    int
+	mu       sync.Mutex
+	draining bool
+	running  int // flights currently executing on workers
+	flights  map[string]*flight
+	jobs     map[string]*jobRecord
+	order    []*jobRecord // submission order
+	nextID   int
+	// memo maps a job key to the result its done records hold, and images
+	// an image key to the image such a result holds.
+	memo   map[string]*result
+	images map[string][]byte
 
 	// execGate, when set (tests only), runs at the top of every execution
 	// and may block to create controlled congestion.
@@ -198,9 +203,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 5 * time.Minute
 	}
-	if cfg.MemoLimit <= 0 {
-		cfg.MemoLimit = 256
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -221,14 +223,14 @@ func NewServer(cfg Config) *Server {
 		log:        cfg.Logger,
 		slog:       lg,
 		now:        now,
-		rec:        obs.NewFlightRecorder(cfg.FlightRecorderSize),
 		started:    now(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *flight, cfg.QueueDepth),
 		flights:    make(map[string]*flight),
-		memo:       make(map[string]*result),
 		jobs:       make(map[string]*jobRecord),
+		memo:       make(map[string]*result),
+		images:     make(map[string][]byte),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -352,9 +354,8 @@ func (s *Server) submit(rs *resolved, wait bool, traceID string, reqStart time.T
 }
 
 // finishTrace closes a terminal job's span tree, snapshots it, derives the
-// phase durations surfaced in JobStatus, pushes the document into the
-// flight recorder, and drops the live tree the document now stands for.
-// Callers hold mu; now is the terminal instant.
+// phase durations surfaced in JobStatus, and drops the live tree the
+// document now stands for. Callers hold mu; now is the terminal instant.
 func (s *Server) finishTrace(rec *jobRecord, now time.Time) {
 	if rec.trace == nil || rec.traceDoc != nil {
 		return
@@ -370,13 +371,12 @@ func (s *Server) finishTrace(rec *jobRecord, now time.Time) {
 			rec.exec = rec.finished.Sub(rec.started)
 		}
 	}
-	s.rec.Record(rec.traceDoc)
 	rec.trace, rec.wait = nil, nil
 }
 
 func (s *Server) storeJob(rec *jobRecord) {
 	s.jobs[rec.id] = rec
-	s.order = append(s.order, rec.id)
+	s.order = append(s.order, rec)
 }
 
 // release drops a waiter's interest in a flight. The last leaving waiter
@@ -437,7 +437,7 @@ func (s *Server) runFlight(f *flight) {
 	s.reg.SetGauge("omd/workers-busy", float64(s.running))
 	delete(s.flights, f.key)
 	if err == nil {
-		s.memoize(f.key, res)
+		s.retain(f.key, res)
 	}
 	execDoc := f.exec.Doc()
 	type doneLog struct {
@@ -538,16 +538,13 @@ func (s *Server) logJobDone(rec *jobRecord, doc *obs.TraceDoc, total time.Durati
 	}
 }
 
-// memoize stores a completed result with FIFO eviction; callers hold mu.
-func (s *Server) memoize(key string, res *result) {
-	if _, ok := s.memo[key]; ok {
-		return
-	}
+// retain indexes a result that done job records now hold: the memo under
+// its job key and, for an image the index may serve, the image index under
+// its image key. Callers hold mu.
+func (s *Server) retain(key string, res *result) {
 	s.memo[key] = res
-	s.memoOrder = append(s.memoOrder, key)
-	if len(s.memoOrder) > s.cfg.MemoLimit {
-		delete(s.memo, s.memoOrder[0])
-		s.memoOrder = s.memoOrder[1:]
+	if res.imageKey != "" {
+		s.images[res.imageKey] = res.image
 	}
 }
 
@@ -584,12 +581,12 @@ func (s *Server) loadProgram(rs *resolved, sp *obs.Span) (*link.Program, error) 
 	return link.Merge(objs)
 }
 
-// execute runs one link job end to end. A cached image (keyed on program,
+// execute runs one link job end to end. A known image (keyed on program,
 // options and profile, so a repeat that differs only in simulation finds
-// it) needs nothing resolved at all, and its bytes are served as stored,
-// decoded only to simulate. Any other job compiles or decodes its modules,
-// merges them, and om.Run lifts the program and runs the passes, layout
-// and emission. A traced or checked job bypasses the image cache — neither
+// it in the image index, or in the build cache's directory) needs nothing
+// resolved at all, and its bytes are served as stored, decoded only to
+// simulate. Any other job compiles or decodes its modules, merges them,
+// and om.Run lifts the program and runs the passes, layout and emission. A traced or checked job bypasses the image cache — neither
 // a journal nor the symbolic program can be reproduced from a cached image.
 //
 // sp is the execution span on the lead job's trace; every stage becomes a
@@ -617,14 +614,23 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 		imageKey = rs.imageKey()
 	}
 	if imageKey != "" && !shadow {
+		// The image index answers first; the build cache keeps images
+		// only in a directory and counts every lookup that reaches it.
 		ics := sp.Child("image-cache")
-		data, ok := s.cache.GetImage(imageKey)
+		s.mu.Lock()
+		data, ok := s.images[imageKey]
+		s.mu.Unlock()
+		if ok {
+			s.reg.Counter("omd/image-index-hits").Add(1)
+		} else {
+			data, ok = s.cache.GetImage(imageKey)
+		}
 		ics.SetAttr("hit", strconv.FormatBool(ok))
 		ics.End()
 		if ok {
 			// The cached bytes are the image; only the simulator needs it
 			// decoded.
-			res := &result{image: data, imageCacheHit: true}
+			res := &result{image: data, imageCacheHit: true, imageKey: imageKey}
 			if rs.spec.Simulate {
 				im, err := objfile.ReadImage(bytes.NewReader(data))
 				if err != nil {
@@ -657,13 +663,13 @@ func (s *Server) execute(ctx context.Context, rs *resolved, sp *obs.Span) (*resu
 	if err != nil {
 		return nil, err
 	}
-	res := &result{stats: omres.Stats, journal: omres.Journal}
+	res := &result{stats: omres.Stats, journal: omres.Journal, imageKey: imageKey}
 	if chk.Level != verify.CheckOff {
 		if res.check, err = s.check(chk, omres, sp, shadow); err != nil {
 			return nil, err
 		}
 	}
-	// The image is encoded once; the result and the image cache share
+	// The image is encoded once; the result and the image index share
 	// that one slice.
 	res.image = omres.Image.Encode()
 	if imageKey != "" {
@@ -994,7 +1000,9 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 //	                         jobs only)
 //	GET  /jobs/{id}/trace    the job's span tree (om-trace/v1; live
 //	                         snapshot while the job runs)
-//	GET  /debug/flights      recent completed traces, newest first (?n=)
+//	GET  /debug/flights      the traces of the newest terminal jobs,
+//	                         newest first in submission order; ?n= (a
+//	                         positive count, default 128) caps them
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -1100,8 +1108,8 @@ func (s *Server) snapshotJob(id string) JobStatus {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.status(s.jobs[id]))
+	for _, rec := range s.order {
+		out = append(out, s.status(rec))
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, out)
@@ -1175,14 +1183,29 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
+// handleFlights lists the trace documents of the newest terminal jobs,
+// newest first in submission order: a job still running is skipped, and a
+// memo hit, terminal on admission, is listed.
 func (s *Server) handleFlights(w http.ResponseWriter, r *http.Request) {
-	n := 0
+	n := 128
 	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil {
-			n = v
+		v, err := strconv.Atoi(q)
+		if err != nil || v <= 0 {
+			writeJSON(w, http.StatusBadRequest, map[string]string{
+				"error": fmt.Sprintf("omd: n must be a positive integer, got %q", q)})
+			return
+		}
+		n = v
+	}
+	var out []*obs.TraceDoc
+	s.mu.Lock()
+	for i := len(s.order) - 1; i >= 0 && len(out) < n; i-- {
+		if doc := s.order[i].traceDoc; doc != nil {
+			out = append(out, doc)
 		}
 	}
-	writeJSON(w, http.StatusOK, s.rec.Recent(n))
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {

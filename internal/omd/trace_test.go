@@ -4,17 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/buildcache"
 	"repro/internal/obs"
-	"repro/internal/om"
 	"repro/internal/omd"
 )
 
@@ -29,7 +31,7 @@ var lifecyclePhases = []string{
 // TestJobTraceLifecycle is the acceptance test for the tentpole: a fresh
 // job's trace contains every lifecycle phase with coherent durations, the
 // root span covers its children, and the client-assigned trace id survives
-// the round trip into status, trace, and flight recorder.
+// the round trip into status, trace, and /debug/flights.
 func TestJobTraceLifecycle(t *testing.T) {
 	s := newTestServer(t, omd.Config{Workers: 2, QueueDepth: 8})
 	c := startHTTP(t, s)
@@ -83,7 +85,7 @@ func TestJobTraceLifecycle(t *testing.T) {
 		t.Errorf("root %v < sum of children %v:\n%s", doc.Root.Duration, sum, doc.Render())
 	}
 
-	// The completed trace is also in the flight recorder.
+	// The completed trace is also listed at /debug/flights.
 	flights, err := c.Flights(ctx, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +102,10 @@ func TestJobTraceLifecycle(t *testing.T) {
 }
 
 // TestTraceWarmPaths: a memo-hit submission still yields a complete (tiny)
-// trace, and an image-cache-served re-link on a fresh server records the
-// short-circuit: image-cache hit, no om span.
+// trace, and a re-link on a fresh server sharing the first one's cache
+// directory records the short-circuit: image-cache hit, no om span.
 func TestTraceWarmPaths(t *testing.T) {
-	cache, err := buildcache.New("")
+	cache, err := buildcache.New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +149,8 @@ func TestTraceWarmPaths(t *testing.T) {
 			memoDoc.Root.Duration, memoSum, memoDoc.Render())
 	}
 
-	// Fresh server, shared build cache: the image is served from the cache
-	// and the trace shows exactly that.
+	// Fresh server, shared cache directory: the image is served from the
+	// cache and the trace shows exactly that.
 	s2 := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8, Cache: cache})
 	c2 := startHTTP(t, s2)
 	cachedSt, err := c2.SubmitWait(ctx, spec)
@@ -228,44 +230,91 @@ func TestTraceCoalesced(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderBound: the ring retains only the configured number of
-// traces, newest first, and /debug/flights?n= further narrows the view.
-func TestFlightRecorderBound(t *testing.T) {
-	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 16, FlightRecorderSize: 3})
+// TestFlightsReadJobStore: /debug/flights lists the traces of the newest
+// terminal jobs in the job store, newest first in submission order. A memo
+// hit is listed, a running job is not until it finishes, ?n= narrows the
+// view, and an n that is not a positive integer is a 400.
+func TestFlightsReadJobStore(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	entered := make(chan struct{}, 8)
+	release := make(chan struct{})
+	var gated atomic.Bool
+	s.SetExecGate(func(string) {
+		if gated.Load() {
+			entered <- struct{}{}
+			<-release
+		}
+	})
 	c := startHTTP(t, s)
-	ctx := context.Background()
-
-	// 5 distinct jobs (different option levels defeat coalescing/memo).
-	specs := []*omd.JobSpec{
-		{Version: omd.SpecVersion, Benchmark: "li"},
-		{Version: omd.SpecVersion, Benchmark: "compress"},
-		{Version: omd.SpecVersion, Benchmark: "li", Options: optDoc(t, om.WithLevel(om.LevelNone))},
-		{Version: omd.SpecVersion, Benchmark: "li", Options: optDoc(t, om.WithLevel(om.LevelSimple))},
-		{Version: omd.SpecVersion, Benchmark: "li", Options: optDoc(t, om.WithSchedule(true))},
-	}
-	var last string
-	for _, sp := range specs {
-		st, err := c.SubmitWait(ctx, sp)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	traces := func(t *testing.T, n int) []string {
+		t.Helper()
+		docs, err := c.Flights(ctx, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != omd.JobDone {
-			t.Fatalf("job failed: %s", st.Error)
+		ids := make([]string, len(docs))
+		for i, d := range docs {
+			ids[i] = d.TraceID
 		}
-		last = st.TraceID
+		return ids
 	}
-	flights, err := c.Flights(ctx, 0)
+	spec := func(src string) *omd.JobSpec {
+		return &omd.JobSpec{Version: omd.SpecVersion, Objects: [][]byte{uploadObject(t, "u", src)}}
+	}
+
+	first, err := c.SubmitWait(ctx, spec("long main() { return 1; }\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flights) != 3 {
-		t.Fatalf("flight recorder retained %d traces, want 3", len(flights))
+	memo, err := c.SubmitWait(ctx, spec("long main() { return 1; }\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if flights[0].TraceID != last {
-		t.Errorf("newest flight = %q, want the last job's trace %q", flights[0].TraceID, last)
+	if first.State != omd.JobDone || !memo.MemoHit {
+		t.Fatalf("first job %s (%s), repeat memo hit %v; want done, then a memo hit", first.State, first.Error, memo.MemoHit)
 	}
-	if narrowed, err := c.Flights(ctx, 2); err != nil || len(narrowed) != 2 {
-		t.Errorf("Flights(n=2) = %d traces, err %v; want 2, nil", len(narrowed), err)
+	gated.Store(true)
+	running, err := c.Submit(ctx, spec("long main() { return 2; }\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never picked up the gated job")
+	}
+	if got, want := fmt.Sprint(traces(t, 0)), fmt.Sprint([]string{memo.TraceID, first.TraceID}); got != want {
+		t.Errorf("with a job running, flights = %s, want %s", got, want)
+	}
+	close(release)
+	done, err := c.Wait(ctx, running.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(traces(t, 0)), fmt.Sprint([]string{done.TraceID, memo.TraceID, first.TraceID}); got != want {
+		t.Errorf("after the job finished, flights = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(traces(t, 2)), fmt.Sprint([]string{done.TraceID, memo.TraceID}); got != want {
+		t.Errorf("flights?n=2 = %s, want %s", got, want)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, n := range []string{"0", "-1", "x", "1.5"} {
+		resp, err := http.Get(ts.URL + "/debug/flights?n=" + n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || decodeErr != nil || !strings.Contains(body.Error, "positive integer") {
+			t.Errorf("flights?n=%s answered %d %q (%v), want 400 naming a positive integer", n, resp.StatusCode, body.Error, decodeErr)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buildcache"
 	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
@@ -108,13 +109,27 @@ func TestRelinkLinksFresh(t *testing.T) {
 	}
 }
 
-// TestImageCacheIgnoresSimulate: the image cache is keyed on what
+// TestImageCacheIgnoresSimulate: the image index is keyed on what
 // determines the image (program, options, profile), not on the simulation
 // request. Linking an upload and then submitting it again with simulate on
-// is a new job key, yet it must be served from the cached image: no om run,
-// with the simulator's statistics present.
+// is a new job key, yet it must be served the first job's image: no om run,
+// with the simulator's statistics present. The index answers whether the
+// build cache is memory-only (it keeps no images) or has a directory (the
+// index answers before the directory is read).
 func TestImageCacheIgnoresSimulate(t *testing.T) {
-	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	for _, dir := range []string{"", t.TempDir()} {
+		cache, err := buildcache.New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("dir=%v", dir != ""), func(t *testing.T) {
+			checkImageIndexServesSimulate(t, cache)
+		})
+	}
+}
+
+func checkImageIndexServesSimulate(t *testing.T, cache *buildcache.Cache) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8, Cache: cache})
 	c := startHTTP(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -142,17 +157,29 @@ func TestImageCacheIgnoresSimulate(t *testing.T) {
 		t.Fatal("simulate must change the job key and execute")
 	}
 	if !second.ImageCacheHit {
-		t.Fatal("simulated resubmission missed the image cache")
+		t.Fatal("simulated resubmission missed the image index")
 	}
 	if second.Sim == nil || second.Sim.Instructions == 0 {
 		t.Fatalf("simulated resubmission carries no sim stats: %+v", second.Sim)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fresh link's one lookup missed the index and then the build
+	// cache; the resubmission hit the index and never reached the cache.
+	if hits := snap.Counter("omd/image-index-hits"); hits != 1 {
+		t.Errorf("omd/image-index-hits = %d, want 1", hits)
+	}
+	if st := snap.Cache; st.ImageHits != 0 || st.ImageMisses != 1 {
+		t.Errorf("build cache image lookups: %d hits, %d misses; want 0 and 1", st.ImageHits, st.ImageMisses)
 	}
 	doc, err := c.Trace(ctx, second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doc.Find("om") != nil {
-		t.Errorf("image-cache-served job ran om:\n%s", doc.Render())
+		t.Errorf("image-index-served job ran om:\n%s", doc.Render())
 	}
 	fresh, err := c.Image(ctx, first.ID)
 	if err != nil {
@@ -163,16 +190,62 @@ func TestImageCacheIgnoresSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served, fresh) || second.ImageBytes != len(fresh) {
-		t.Errorf("image-cache-served job's image (%d bytes) differs from the fresh link's (%d bytes)",
+		t.Errorf("image-index-served job's image (%d bytes) differs from the fresh link's (%d bytes)",
 			len(served), len(fresh))
 	}
 }
 
-// TestImageCacheHitAllocs: an image-cache hit serves the cached bytes as
-// they are. A fresh link stores its one encoding in both the cache and its
-// result; an execution served from the cache returns that same slice and
-// allocates less than the image's length, where decoding the entry and
-// encoding it again would cost at least twice that.
+// TestMemoKeepsEveryDoneJob: the memo indexes every retained done job, so
+// resubmitting the first job after 300 others is still a memo hit rather
+// than a new execution. The other jobs differ only in their instruction
+// cap, so each is a new job key served from the image index without a
+// link.
+func TestMemoKeepsEveryDoneJob(t *testing.T) {
+	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
+	c := startHTTP(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	spec := omd.JobSpec{Version: omd.SpecVersion,
+		Objects: [][]byte{uploadObject(t, "ret", "long main() { return 3; }\n")}}
+	first, err := c.SubmitWait(ctx, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const others = 300
+	for i := 1; i <= others; i++ {
+		variant := spec
+		variant.MaxInstructions = uint64(i)
+		st, err := c.SubmitWait(ctx, &variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != omd.JobDone || st.MemoHit {
+			t.Fatalf("variant %d: state %s (%s), memo hit %v; want a new done job", i, st.State, st.Error, st.MemoHit)
+		}
+	}
+	again, err := c.SubmitWait(ctx, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.MemoHit || again.Key != first.Key {
+		t.Errorf("resubmitting the first of %d jobs: memo hit %v, image-cache hit %v; want a memo hit",
+			others+1, again.MemoHit, again.ImageCacheHit)
+	}
+	snap, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if executed := snap.Counter("omd/jobs-executed"); executed != others+1 {
+		t.Errorf("executed %d flights, want %d", executed, others+1)
+	}
+}
+
+// TestImageCacheHitAllocs: an image-index hit serves the retained bytes as
+// they are. A fresh link's result holds its one encoding and the image
+// index points at it; an execution served from the index returns that same
+// slice and allocates less than the image's length, where decoding the
+// image and encoding it again would cost at least twice that.
 func TestImageCacheHitAllocs(t *testing.T) {
 	s := newTestServer(t, omd.Config{Workers: 1, QueueDepth: 8})
 	ctx := context.Background()
@@ -193,7 +266,7 @@ func TestImageCacheHitAllocs(t *testing.T) {
 			t.Fatalf("repeat %d: cache hit %v, err %v; want an image-cache hit", i, hit, err)
 		}
 		if len(served) != len(fresh) || &served[0] != &fresh[0] {
-			t.Fatalf("repeat %d: served a copy, not the slice the fresh link cached", i)
+			t.Fatalf("repeat %d: served a copy, not the slice the fresh link retained", i)
 		}
 	}
 	runtime.ReadMemStats(&after)
