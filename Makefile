@@ -63,50 +63,54 @@ lint-smoke:
 	$(GO) run ./cmd/om -check static -o $$dir/a.out $$dir/t.o; \
 	status=$$?; rm -rf $$dir; exit $$status
 
-# bench runs the simulator benchmark suite and records it as
-# BENCH_sim.json, embedding the pre-engine baseline so one file shows the
-# perf trajectory. Commit the refreshed file when touching the simulator.
+# bench runs the simulator benchmark suite and records it, with
+# allocation counts, as BENCH_sim.json, embedding the pre-engine baseline
+# so one file shows the perf trajectory. Commit the refreshed file when
+# touching the simulator.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSim|BenchmarkFig6Dynamic' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSim|BenchmarkFig6Dynamic' -benchmem \
 		-benchtime 2x -count 1 . ./internal/sim \
 		| $(GO) run ./cmd/benchjson \
 			-baseline results/BENCH_sim_baseline_pr1.json -o BENCH_sim.json
 	@cat BENCH_sim.json
 
 # bench-smoke executes every simulator benchmark, the static-check
-# benchmark and the cold-link front-end benchmarks (object decode, lift)
-# exactly once so the bench suites themselves cannot bit-rot; CI runs this
-# on every push.
+# benchmarks (an image's analysis, a checked link) and the cold-link
+# front-end benchmarks (object decode, lift) exactly once so the bench
+# suites themselves cannot bit-rot; CI runs this on every push.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim|BenchmarkFig6Dynamic' \
 		-benchtime 1x -count 1 . ./internal/sim
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeImage' -benchmem \
 		-benchtime 1x -count 1 ./internal/dataflow
-	$(GO) test -run '^$$' -bench 'BenchmarkObjfileRead|BenchmarkLift$$' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkObjfileRead|BenchmarkLift$$|BenchmarkLinkCheckStatic' -benchmem \
 		-benchtime 1x -count 1 . ./internal/objfile
 
 # bench-link runs the link benchmarks — cold decode+merge+link of li and of
-# a progen 4x program, an in-process omd job served from the image cache (progen 4x), the cold front end's
-# object decode and lift, and the static check of an OM-full image at 1x
-# and 16x — and records them, with allocation counts, as BENCH_link.json.
-# Commit the refreshed file when touching the link pipeline.
+# a progen 4x program, li's cold link under the static check, an
+# in-process omd job served from the image cache (progen 4x), the cold
+# front end's object decode and lift, and the static check of an OM-full
+# image at 1x and 16x — and records them, with allocation counts, as
+# BENCH_link.json. Commit the refreshed file when touching the link
+# pipeline or the checks.
 bench-link:
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold|BenchmarkServeImageCacheHit|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold|BenchmarkLinkCheckStatic|BenchmarkServeImageCacheHit|BenchmarkLift$$|BenchmarkObjfileRead|BenchmarkAnalyzeImage' \
 		-benchmem -benchtime 2s -count 1 . ./internal/objfile ./internal/dataflow \
 		| $(GO) run ./cmd/benchjson -o BENCH_link.json
 	@cat BENCH_link.json
 
-# linkbench-smoke runs the cold-link benchmarks for 20 iterations (enough
-# that allocs/op is steady; a 1x run counts warm-up) and compares them with
-# the committed BENCH_link.json: it fails when a benchmark's allocs/op rose
-# more than 10%, and reports ns/op and B/op. It then links a program whose
+# linkbench-smoke runs the cold-link benchmarks, unchecked and under the
+# static check, for 20 iterations (enough that allocs/op is steady; a 1x
+# run counts warm-up) and compares them with the committed
+# BENCH_link.json: it fails when a benchmark's allocs/op rose more than
+# 10%, and reports ns/op and B/op. It then links a program whose
 # 32 KB common array makes OM ship its data region as two segments (the
 # zero commons become the first one's ZeroSize) with -check full, runs the
 # split image in axsim, and requires its output to equal an OM-none link's
 # output.
 linkbench-smoke:
 	@out=$$(mktemp); \
-	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold' -benchmem -benchtime 20x -count 1 . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
+	$(GO) test -run '^$$' -bench 'BenchmarkLinkCold|BenchmarkLinkCheckStatic' -benchmem -benchtime 20x -count 1 . > $$out || { cat $$out; rm -f $$out; exit 1; }; \
 	$(GO) run ./cmd/benchjson -compare BENCH_link.json < $$out; \
 	status=$$?; rm -f $$out; exit $$status
 	@dir=$$(mktemp -d); \

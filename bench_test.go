@@ -33,6 +33,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/tcc"
+	"repro/internal/verify"
 )
 
 // runOM merges the objects and runs OM under the given options (the
@@ -215,8 +216,9 @@ func serializeObjects(b *testing.B, objs []*objfile.Object) [][]byte {
 }
 
 // linkCold times the daemon's cold path over the given objects: decode
-// every module from its wire bytes, merge, and link at OM-full.
-func linkCold(b *testing.B, objs []*objfile.Object) {
+// every module from its wire bytes, merge, and link at OM-full, proving the
+// link at the given check level with a fresh checker per op.
+func linkCold(b *testing.B, objs []*objfile.Object, check verify.CheckLevel) {
 	raw := serializeObjects(b, objs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -228,7 +230,26 @@ func linkCold(b *testing.B, objs []*objfile.Object) {
 			}
 			objs = append(objs, obj)
 		}
-		if _, _, err := runOM(objs, om.WithLevel(om.LevelFull)); err != nil {
+		if check == verify.CheckOff {
+			if _, _, err := runOM(objs, om.WithLevel(om.LevelFull)); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		p, err := link.Merge(objs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		chk := &verify.Checker{Level: check}
+		res, err := om.Run(context.Background(), p, append(chk.Options(), om.WithLevel(om.LevelFull))...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		doc, err := chk.Finish(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := doc.Err(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +257,15 @@ func linkCold(b *testing.B, objs []*objfile.Object) {
 
 // BenchmarkLinkCold links li, whose 768 KB of commons make it the program
 // with the most zero data.
-func BenchmarkLinkCold(b *testing.B) { linkCold(b, buildObjects(b, "li")) }
+func BenchmarkLinkCold(b *testing.B) { linkCold(b, buildObjects(b, "li"), verify.CheckOff) }
+
+// BenchmarkLinkCheckStatic is BenchmarkLinkCold under the static check
+// (om -check static): the dataflow analysis of the lifted program, the
+// optimized program and the image. Its ns/op over BenchmarkLinkCold's is
+// what the check costs relative to the link it proves.
+func BenchmarkLinkCheckStatic(b *testing.B) {
+	linkCold(b, buildObjects(b, "li"), verify.CheckStatic)
+}
 
 // progen4x compiles the modules of a progen 4x program (seed 1): five
 // times li's text, small commons.
@@ -262,7 +291,7 @@ func BenchmarkLinkColdProgen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	linkCold(b, append(progen4x(b), lib...))
+	linkCold(b, append(progen4x(b), lib...), verify.CheckOff)
 }
 
 // BenchmarkServeImageCacheHit times an omd job served from the image cache,

@@ -49,7 +49,7 @@ func TestCFGEmptyProc(t *testing.T) {
 	}
 	// The whole pipeline must tolerate it too.
 	p := &Program{Source: "prog", Procs: []*Proc{pr}, Clusters: 1}
-	rep := Analyze(p)
+	rep := mustAnalyze(t, p)
 	if len(rep.Findings) != 0 {
 		t.Fatalf("empty procedure produced findings: %v", rep.Findings)
 	}

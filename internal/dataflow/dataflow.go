@@ -202,12 +202,13 @@ func checkInfo(id string) CheckInfo {
 
 // Analyze runs the full pipeline over an already-built model: CFG
 // construction, the iterative solvers, the interprocedural abstract
-// interpretation, and every check in the catalog.
-func Analyze(p *Program) *Report { return analyze(p, (*Proc).mayDefined) }
+// interpretation, and every check in the catalog. Its only error is
+// ErrNoFixpoint.
+func Analyze(p *Program) (*Report, error) { return analyze(p, (*Proc).mayDefined) }
 
 // analyze is Analyze with DF006's solver as a parameter, so a test can
 // drive the same checks from a reference solver.
-func analyze(p *Program, mayDefined func(*Proc, *scratch) []uint64) *Report {
+func analyze(p *Program, mayDefined func(*Proc, *scratch) []uint64) (*Report, error) {
 	rep := &Report{Schema: Schema, Source: p.Source, Procs: len(p.Procs)}
 	for _, pr := range p.Procs {
 		pr.BuildCFG()
@@ -215,11 +216,13 @@ func analyze(p *Program, mayDefined func(*Proc, *scratch) []uint64) *Report {
 		rep.Insts += len(pr.Code)
 	}
 	ip := newInterp(p)
-	ip.solve()
+	if err := ip.solve(); err != nil {
+		return nil, err
+	}
 	runChecks(p, ip, rep, mayDefined)
 	for _, f := range p.Extra {
 		rep.add(f)
 	}
 	rep.sort()
-	return rep
+	return rep, nil
 }

@@ -241,5 +241,5 @@ func AnalyzeImage(im *objfile.Image) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Analyze(p), nil
+	return Analyze(p)
 }

@@ -218,7 +218,10 @@ func AnalyzeProg(pg *om.Prog, pl *om.Plan, stage string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := Analyze(p)
+	rep, err := Analyze(p)
+	if err != nil {
+		return nil, err
+	}
 	rep.Stage = stage
 	return rep, nil
 }

@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/axp"
 )
@@ -122,7 +124,9 @@ func addVal(v Value, d int64) Value {
 // interp is the interprocedural abstract interpretation: a fixpoint over
 // procedure entry states (seeded with each procedure's calling contract)
 // and exit-GP summaries, refined by the contributions of every resolved
-// call site and the convention-driven fan-out of computed calls.
+// call site and the convention-driven fan-out of computed calls. Each
+// round re-analyzes only the procedures whose inputs changed since their
+// last analysis.
 type interp struct {
 	p *Program
 	// entry[p][0] is the accumulated abstract state at the procedure
@@ -145,6 +149,18 @@ type interp struct {
 	// (its contribution is the calling site's own GP).
 	allExit     Value
 	anyPreserve bool
+	// dirty[p]: an input of procedure p changed since its last analysis —
+	// its entry state, the exit GP of a direct callee, or (for a
+	// procedure in fanners) any exit GP or the allExit/anyPreserve pair.
+	dirty []bool
+	// callers[t] lists, once each, the procedures with a direct call to t;
+	// fanners lists those with a computed call, which can resolve to any
+	// procedure.
+	callers [][]int
+	fanners []int
+	// rounds counts the rounds solve ran; maxRounds is the bound it may
+	// not exceed (see solve).
+	rounds, maxRounds int
 	// work and queue are analyzeProc's worklist, reused by every call.
 	work  []bool
 	queue []int
@@ -159,10 +175,38 @@ func newInterp(p *Program) *interp {
 		blockIn: make([][]State, n),
 		reached: make([][]bool, n),
 		needsGP: make([]bool, n),
+		dirty:   make([]bool, n),
+		callers: make([][]int, n),
+		// The lattice's bound on the rounds (see solve).
+		maxRounds: 2*(2*axp.NumRegs+1)*n + 1,
 	}
+	// One allocation backs every procedure's block states and flags.
+	nb := 0
+	for _, pr := range p.Procs {
+		nb += len(pr.Blocks)
+	}
+	states, reached := make([]State, nb), make([]bool, nb)
 	for i, pr := range p.Procs {
-		ip.blockIn[i] = make([]State, len(pr.Blocks))
-		ip.reached[i] = make([]bool, len(pr.Blocks))
+		ip.dirty[i] = true
+		fans := false
+		for k := range pr.Code {
+			inst := &pr.Code[k]
+			if !inst.Call {
+				continue
+			}
+			fans = fans || len(inst.Targets) == 0 && inst.Fan
+			for _, t := range inst.Targets {
+				if cs := ip.callers[t.Proc]; len(cs) == 0 || cs[len(cs)-1] != i {
+					ip.callers[t.Proc] = append(cs, i)
+				}
+			}
+		}
+		if fans {
+			ip.fanners = append(ip.fanners, i)
+		}
+		k := len(pr.Blocks)
+		ip.blockIn[i], states = states[:k:k], states[k:]
+		ip.reached[i], reached = reached[:k:k], reached[k:]
 		ip.needsGP[i] = pr.consumesEntryGP()
 		// Seed the calling contract: PV holds the procedure's own entry
 		// (the jsr convention the simulator also boots with) and GP is the
@@ -257,51 +301,80 @@ func (ip *interp) gpOf(k int) Value {
 	return Value{Kind: KGP, N: k}
 }
 
-// solve iterates the whole program to a fixpoint. Every transfer is
-// monotone over a finite-height lattice, so the round count is bounded by
-// the call-graph depth times the lattice height; the cap is a safety net.
-func (ip *interp) solve() {
-	for round := 0; round < 1000; round++ {
-		ip.allExit = Bottom()
-		ip.anyPreserve = false
+// ErrNoFixpoint reports an interprocedural analysis still changing after
+// the number of rounds the lattice's height allows: a non-monotone
+// transfer, never a property of the analyzed program.
+var ErrNoFixpoint = errors.New("dataflow: interprocedural fixpoint did not converge")
+
+// solve iterates the program to a fixpoint in rounds, each analyzing the
+// dirty procedures in index order. Every transfer is monotone, so this
+// chaotic iteration reaches the same fixpoint as re-analyzing every
+// procedure each round: a clean procedure's inputs are those its last
+// analysis saw, so analyzing it again would change nothing.
+//
+// The round count is bounded. A procedure is dirty at a round's start
+// only if, in the round before, an entry register or an exit GP changed
+// (a change of allExit or anyPreserve is one of the exit GPs changing a
+// round earlier). Values only move down the lattice, ⊥ → value → ⊤, so
+// each of the 2·NumRegs entry registers and the exit GP of a procedure
+// moves at most twice, and every round but the last moves one of them:
+// rounds ≤ 2·(2·NumRegs+1)·len(Procs) + 1. Reaching that bound is
+// ErrNoFixpoint, not a partial result passed off as final.
+func (ip *interp) solve() error {
+	for {
+		if allExit, anyPreserve := ip.exitSummary(); allExit != ip.allExit || anyPreserve != ip.anyPreserve {
+			ip.allExit, ip.anyPreserve = allExit, anyPreserve
+			ip.markDirty(ip.fanners)
+		}
+		if !slices.Contains(ip.dirty, true) {
+			return nil
+		}
+		if ip.rounds == ip.maxRounds {
+			return fmt.Errorf("%w in %d rounds", ErrNoFixpoint, ip.rounds)
+		}
+		ip.rounds++
 		for i := range ip.p.Procs {
-			if ip.exitGP[i].Kind == KInGP {
-				ip.anyPreserve = true
-				continue
+			if ip.dirty[i] {
+				ip.dirty[i] = false
+				ip.analyzeProc(i)
 			}
-			ip.allExit = meet(ip.allExit, ip.exitGP[i])
 		}
-		if !ip.analyzeAll() {
-			return
+	}
+}
+
+// exitSummary returns the meet of every non-preserving exit GP and
+// whether some procedure exits GP-transparent: the after-call GP of a
+// fully unresolved computed call.
+func (ip *interp) exitSummary() (allExit Value, anyPreserve bool) {
+	for _, ex := range ip.exitGP {
+		if ex.Kind == KInGP {
+			anyPreserve = true
+			continue
 		}
+		allExit = meet(allExit, ex)
+	}
+	return allExit, anyPreserve
+}
+
+// markDirty schedules the procedures for the next analysis.
+func (ip *interp) markDirty(procs []int) {
+	for _, p := range procs {
+		ip.dirty[p] = true
 	}
 }
 
 // Bottom returns the ⊥ value.
 func Bottom() Value { return Value{Kind: Bot} }
 
-// analyzeAll runs one round over every procedure, reporting whether any
-// entry state or exit summary changed.
-func (ip *interp) analyzeAll() bool {
-	changed := false
-	for i := range ip.p.Procs {
-		if ip.analyzeProc(i) {
-			changed = true
-		}
-	}
-	return changed
-}
-
 // analyzeProc runs the intra-procedure worklist to a local fixpoint,
-// propagating call contributions and the exit summary. It reports whether
-// any state outside the procedure changed.
-func (ip *interp) analyzeProc(pi int) bool {
+// propagating call contributions and the exit summary and marking the
+// procedures they feed dirty.
+func (ip *interp) analyzeProc(pi int) {
 	pr := ip.p.Procs[pi]
 	if len(pr.Blocks) == 0 {
-		return false
+		return
 	}
 	in := ip.blockIn[pi]
-	external := false
 
 	// The worklist is seeded from the entry blocks (and every block a
 	// previous round reached — call summaries may have refined since):
@@ -333,9 +406,7 @@ func (ip *interp) analyzeProc(pi int) bool {
 		ip.reached[pi][b] = true
 		st := in[b]
 		for i := pr.Blocks[b].Start; i < pr.Blocks[b].End; i++ {
-			if ip.step(pi, i, &st) {
-				external = true
-			}
+			ip.step(pi, i, &st)
 		}
 		for _, s := range pr.Blocks[b].Succs {
 			if in[s].meetInto(&st) || !ip.reached[pi][s] {
@@ -344,28 +415,30 @@ func (ip *interp) analyzeProc(pi int) bool {
 		}
 	}
 	ip.work, ip.queue = work, queue
-	return external
 }
 
 // step applies instruction i of procedure pi to st, recording call
-// contributions and exit summaries. It reports whether state outside the
-// procedure changed.
-func (ip *interp) step(pi, i int, st *State) bool {
+// contributions and exit summaries.
+func (ip *interp) step(pi, i int, st *State) {
 	pr := ip.p.Procs[pi]
 	inst := &pr.Code[i]
 	in := inst.In
 
 	// Unreached code (an all-⊥ state) transfers nothing.
 	if inst.Call {
-		return ip.stepCall(pi, i, st)
+		ip.stepCall(pi, i, st)
+		return
 	}
 	if inst.Ret {
-		old := ip.exitGP[pi]
-		ip.exitGP[pi] = meet(old, st.get(axp.GP))
-		return ip.exitGP[pi] != old
+		if ex := meet(ip.exitGP[pi], st.get(axp.GP)); ex != ip.exitGP[pi] {
+			ip.exitGP[pi] = ex
+			ip.markDirty(ip.callers[pi])
+			ip.markDirty(ip.fanners)
+		}
+		return
 	}
 	if inst.Halt {
-		return false
+		return
 	}
 
 	// Program-level GP pairs transfer as a unit: the displacements are
@@ -391,7 +464,7 @@ func (ip *interp) step(pi, i int, st *State) bool {
 		} else {
 			st.set(axp.GP, top)
 		}
-		return false
+		return
 	}
 	if inst.SetsGP >= 0 {
 		prev := st.get(in.Rb)
@@ -402,12 +475,12 @@ func (ip *interp) step(pi, i int, st *State) bool {
 		} else {
 			st.set(axp.GP, top)
 		}
-		return false
+		return
 	}
 
 	if inst.LoadVal != nil {
 		st.set(in.Writes(), *inst.LoadVal)
-		return false
+		return
 	}
 
 	switch {
@@ -457,15 +530,14 @@ func (ip *interp) step(pi, i int, st *State) bool {
 			st.set(r, top)
 		}
 	}
-	return false
 }
 
 // stepCall resolves the call's targets, contributes the callee entry
-// states, and applies the call's effect on the caller state.
-func (ip *interp) stepCall(pi, i int, st *State) bool {
+// states (marking a callee whose entry state changed dirty), and applies
+// the call's effect on the caller state.
+func (ip *interp) stepCall(pi, i int, st *State) {
 	pr := ip.p.Procs[pi]
 	inst := &pr.Code[i]
-	changed := false
 
 	targets := inst.Targets
 	fanned := false
@@ -511,7 +583,7 @@ func (ip *interp) stepCall(pi, i int, st *State) bool {
 		}
 		contrib.set(axp.PV, pvVal)
 		if ip.entry[t.Proc][slot].meetInto(&contrib) {
-			changed = true
+			ip.dirty[t.Proc] = true
 		}
 	}
 
@@ -558,5 +630,4 @@ func (ip *interp) stepCall(pi, i int, st *State) bool {
 		post.set(axp.RA, Value{Kind: KRet, N: pi, C: uint64(i)})
 	}
 	*st = post
-	return changed
 }

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,12 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/axp"
-	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/progen"
-	"repro/internal/rtlib"
-	"repro/internal/tcc"
 )
 
 // sites is a dense bit vector over instruction indexes (definition sites).
@@ -215,19 +211,7 @@ func progenObjects(tb testing.TB, seed int64, scale int) []*objfile.Object {
 	tb.Helper()
 	cfg := progen.DefaultConfig()
 	cfg.FuncsPerMod *= scale
-	var objs []*objfile.Object
-	for _, m := range progen.Generate(seed, cfg) {
-		obj, err := tcc.Compile(m.Name, []tcc.Source{m}, tcc.DefaultOptions())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		objs = append(objs, obj)
-	}
-	lib, err := rtlib.StandardObjects()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return append(objs, lib...)
+	return sourceObjects(tb, progen.Generate(seed, cfg))
 }
 
 // TestMayDefinedMatchesReachingSites is the oracle for the may-defined
@@ -239,9 +223,12 @@ func progenObjects(tb testing.TB, seed int64, scale int) []*objfile.Object {
 func TestMayDefinedMatchesReachingSites(t *testing.T) {
 	var models, df006 int
 	compare := func(name string, p *Program) {
-		got := Analyze(p)
+		got := mustAnalyze(t, p)
 		o := &siteOracle{t: t, model: name}
-		want := analyze(p, o.solve)
+		want, err := analyze(p, o.solve)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: report differs from the reference-driven report:\n got %v\nwant %v",
 				name, got.ByID(), want.ByID())
@@ -268,28 +255,7 @@ func TestMayDefinedMatchesReachingSites(t *testing.T) {
 	}{{11, 1}, {12, 1}, {13, 4}, {14, 4}} {
 		objs := progenObjects(t, prog.seed, prog.scale)
 		for _, lvl := range []om.Level{om.LevelNone, om.LevelSimple, om.LevelFull} {
-			var stages []*Program
-			var names []string
-			p, err := link.Merge(objs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := om.Run(context.Background(), p, om.WithLevel(lvl),
-				om.WithProgObserver(func(stage om.ProgStage, pg *om.Prog, pl *om.Plan) error {
-					m, err := FromProg(pg, pl)
-					stages = append(stages, m)
-					names = append(names, string(stage))
-					return err
-				}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			im, err := FromImage(res.Image)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stages = append(stages, im)
-			names = append(names, "image")
+			stages, names := stageModels(t, objs, lvl)
 			for k, m := range stages {
 				name := fmt.Sprintf("seed %d %dx %v %s", prog.seed, prog.scale, lvl, names[k])
 				compare(name, m)

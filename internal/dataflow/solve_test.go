@@ -66,9 +66,10 @@ func mayDefAt(pr *Proc, i int) uint64 {
 
 // useBeforeDef analyzes pr as a one-procedure program and returns its
 // DF006 findings.
-func useBeforeDef(pr *Proc) []string {
+func useBeforeDef(t *testing.T, pr *Proc) []string {
+	t.Helper()
 	var out []string
-	for _, f := range Analyze(&Program{Procs: []*Proc{pr}, Clusters: 1}).Findings {
+	for _, f := range mustAnalyze(t, &Program{Procs: []*Proc{pr}, Clusters: 1}).Findings {
 		if f.ID == "DF006" {
 			out = append(out, f.String())
 		}
@@ -97,7 +98,7 @@ func TestMayDefinedCallSiteAliasing(t *testing.T) {
 	if at2&(1<<axp.T8) == 0 {
 		t.Fatal("lda t8 definition does not reach the following instruction")
 	}
-	if f := useBeforeDef(pr); len(f) != 0 {
+	if f := useBeforeDef(t, pr); len(f) != 0 {
 		t.Fatalf("DF006 on a read the call defines: %v", f)
 	}
 }
@@ -120,7 +121,7 @@ func TestMayDefinedBackToBackCalls(t *testing.T) {
 	if got, want := mayDefAt(pr, 3), allRegs&^(1<<axp.Zero); got != want {
 		t.Fatalf("after back-to-back calls, defined %#x, want every register %#x", got, want)
 	}
-	if f := useBeforeDef(pr); len(f) != 0 {
+	if f := useBeforeDef(t, pr); len(f) != 0 {
 		t.Fatalf("DF006 after two calls: %v", f)
 	}
 }
@@ -146,7 +147,7 @@ func TestMayDefinedMerge(t *testing.T) {
 	if got := mayDefAt(pr, 4); got != 1<<axp.T0 {
 		t.Fatalf("join defined %#x, want only t0", got)
 	}
-	if f := useBeforeDef(pr); len(f) != 0 {
+	if f := useBeforeDef(t, pr); len(f) != 0 {
 		t.Fatalf("DF006 at a join both arms define: %v", f)
 	}
 }
@@ -169,11 +170,11 @@ func TestUseBeforeDefOnePath(t *testing.T) {
 			ret(),
 		)
 	}
-	f := useBeforeDef(diamond(Inst{In: axp.Nop()}))
+	f := useBeforeDef(t, diamond(Inst{In: axp.Nop()}))
 	if len(f) != 1 || !strings.Contains(f[0], "reads t0") {
 		t.Fatalf("undefined t0 read: DF006 findings %v, want one on t0", f)
 	}
-	if f := useBeforeDef(diamond(Inst{In: axp.MemInst(axp.LDA, axp.T0, axp.Zero, 1)})); len(f) != 0 {
+	if f := useBeforeDef(t, diamond(Inst{In: axp.MemInst(axp.LDA, axp.T0, axp.Zero, 1)})); len(f) != 0 {
 		t.Fatalf("t0 defined on one arm: DF006 findings %v, want none", f)
 	}
 }

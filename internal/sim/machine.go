@@ -173,11 +173,11 @@ func New(im *objfile.Image, cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, mem: NewMemory()}
 
-	// Back the image's static segments and the stack with flat arenas so
-	// the hot load/store path is a bounds check and an indexed access; the
-	// sparse page map remains as the fallback for everything else. Data
-	// segments are reserved first: the arena list is searched in order and
-	// data traffic dominates the fallback-free path.
+	// Back the image's static segments and the top of the stack with flat
+	// arenas so the hot load/store path is a bounds check and an indexed
+	// access; the sparse page map remains as the fallback for everything
+	// else. Data segments are reserved first: the arena list is searched in
+	// order and data traffic dominates the fallback-free path.
 	// A data region may ship as several contiguous segments (a split at
 	// each long zero run); each run of them gets one Reserve, since
 	// reserving them one by one would re-allocate and copy the merged arena
@@ -199,7 +199,11 @@ func New(im *objfile.Image, cfg Config) (*Machine, error) {
 		}
 		m.mem.Reserve(lo, hi-lo)
 	}
-	m.mem.Reserve(objfile.StackTop-objfile.StackSize, objfile.StackSize)
+	// Only the stack's top page gets an arena: reserving the whole
+	// StackSize extent would zero 4 MiB per run for programs whose frames
+	// fit in a few KiB. Deeper stack addresses fall to the page map, which
+	// reads zero until a page's first write creates it.
+	m.mem.Reserve(objfile.StackTop-pageSize, pageSize)
 	for _, seg := range texts {
 		m.mem.Reserve(seg.Addr, uint64(len(seg.Data)))
 	}

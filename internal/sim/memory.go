@@ -31,9 +31,10 @@ type arena struct {
 }
 
 // Memory is a sparse little-endian byte-addressable memory. Known-extent
-// regions (the image's static segments and the stack) are reserved as flat
-// arenas checked first on every access; the page map is the fallback for
-// addresses outside every arena, so arbitrary sparse traffic still works.
+// regions (the image's static segments and the stack's top page) are
+// reserved as flat arenas checked first on every access; the page map is
+// the fallback for addresses outside every arena, so arbitrary sparse
+// traffic (a deep stack included) still works.
 type Memory struct {
 	arenas []arena
 	pages  map[uint64][]byte

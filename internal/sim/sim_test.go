@@ -417,3 +417,54 @@ func TestZeroSizeTailNotMaterialized(t *testing.T) {
 			extra, zeroSize, zeroSize+pageSize)
 	}
 }
+
+// TestDeepStack stores distinct values at SP-8, just below the arena that
+// backs the stack's top page, at the bottom of the StackSize extent and
+// just below it, reads each back and exits with a checksum of them. Only
+// the top page has an arena, so the three deep stores must land in
+// page-map pages, and all four must read back what was stored under both
+// the functional and the timing configuration.
+func TestDeepStack(t *testing.T) {
+	extent := int32(objfile.StackSize >> 16) // StackSize in 64 KiB ldah units
+	prog := []axp.Inst{
+		axp.MemInst(axp.LDAH, axp.T0, axp.SP, -1),      // t0 = SP - 64 KiB: the arena's base
+		axp.MemInst(axp.LDAH, axp.T1, axp.SP, -extent), // t1 = SP - StackSize: the extent's base
+		axp.MemInst(axp.LDA, axp.T2, axp.Zero, 1),
+		axp.MemInst(axp.STQ, axp.T2, axp.SP, -8),
+		axp.MemInst(axp.LDA, axp.T2, axp.Zero, 2),
+		axp.MemInst(axp.STQ, axp.T2, axp.T0, -8),
+		axp.MemInst(axp.LDA, axp.T2, axp.Zero, 3),
+		axp.MemInst(axp.STQ, axp.T2, axp.T1, 0),
+		axp.MemInst(axp.LDA, axp.T2, axp.Zero, 4),
+		axp.MemInst(axp.STQ, axp.T2, axp.T1, -8),
+		// a0 = ((v4<<4 + v3)<<4 + v2)<<4 + v1 = 0x4321
+		axp.MemInst(axp.LDQ, axp.A0, axp.T1, -8),
+		axp.OpLitInst(axp.SLL, axp.A0, 4, axp.A0),
+		axp.MemInst(axp.LDQ, axp.T3, axp.T1, 0),
+		axp.OpInst(axp.ADDQ, axp.A0, axp.T3, axp.A0),
+		axp.OpLitInst(axp.SLL, axp.A0, 4, axp.A0),
+		axp.MemInst(axp.LDQ, axp.T3, axp.T0, -8),
+		axp.OpInst(axp.ADDQ, axp.A0, axp.T3, axp.A0),
+		axp.OpLitInst(axp.SLL, axp.A0, 4, axp.A0),
+		axp.MemInst(axp.LDQ, axp.T3, axp.SP, -8),
+		axp.OpInst(axp.ADDQ, axp.A0, axp.T3, axp.A0),
+		axp.Pal(axp.PalHalt),
+	}
+	for _, cfg := range []Config{{}, DefaultConfig()} {
+		m, err := New(image(t, prog), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Exit != 0x4321 {
+			t.Errorf("timing=%v: exit %#x, want 0x4321", cfg.Timing, res.Exit)
+		}
+		if len(m.mem.pages) != 3 {
+			t.Errorf("timing=%v: %d page-map pages, want 3 (one per store below the arena)",
+				cfg.Timing, len(m.mem.pages))
+		}
+	}
+}
