@@ -19,7 +19,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# The parallel harness, OM's concurrent analysis, the omd service
+# The parallel harness, OM's concurrent lift, the omd service
 # (coalescing, queue, drain, panic recovery), the build cache, concurrent
 # links of one shared program (om's TestSharedProgramRunsByteIdentical:
 # Run never mutates its input), the telemetry layer (concurrent span

@@ -48,7 +48,6 @@ func main() {
 	shared := flag.String("shared", "", "comma-separated module names to treat as a dynamically-linked shared library")
 	profFile := flag.String("profile", "", "om-profile JSON document driving profile-guided procedure layout")
 	stats := flag.Bool("stats", false, "print static optimization statistics")
-	jobs := flag.Int("j", 0, "max concurrent analysis goroutines (0 = GOMAXPROCS)")
 	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
 	checkFlag := flag.String("check", "off", "prove the output before writing it: off, static (dataflow analysis) or full (static plus translation validation)")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
@@ -123,7 +122,7 @@ func main() {
 		p.MarkShared(strings.Split(*shared, ",")...)
 	}
 	opts := []om.Option{
-		om.WithLevel(lvl), om.WithSchedule(*sched), om.WithParallelism(*jobs),
+		om.WithLevel(lvl), om.WithSchedule(*sched),
 	}
 	if *profFile != "" {
 		pf, err := os.Open(*profFile)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -35,30 +34,13 @@ func (r *Runner) RunAblations(ctx context.Context, names []string) ([]AblationRo
 	if _, err := r.libObjects(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	s := r.newSem()
 	perBench := make([][]AblationRow, len(benches))
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b spec.Benchmark) {
-			defer wg.Done()
-			release, err := s.acquire(ctx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer release()
-			perBench[i], errs[i] = r.ablateBenchmark(ctx, b)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	err = r.newSem().fanOut(ctx, len(benches), func(ctx context.Context, i int) error {
+		var err error
+		perBench[i], err = r.ablateBenchmark(ctx, benches[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	var rows []AblationRow

@@ -259,6 +259,34 @@ func (s *sem) acquire(ctx context.Context) (func(), error) {
 	}
 }
 
+// fanOut runs job(ctx, i) for every i in [0, n), each on its own goroutine
+// holding one of s's slots, and waits for all of them. The first failure
+// cancels the jobs still waiting or running; the result is firstError of
+// the jobs' errors, so the reported failure does not depend on scheduling.
+func (s *sem) fanOut(ctx context.Context, n int, job func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			release, err := s.acquire(ctx)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer release()
+			if errs[i] = job(ctx, i); errs[i] != nil {
+				cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+	return firstError(errs)
+}
+
 // recordPool publishes the pool's utilization over the measured wall time:
 // busy-seconds divided by workers × wall-seconds, named by the -j setting
 // so runs at different parallelism stay distinguishable.
@@ -420,9 +448,6 @@ func (r *Runner) measureCell(ctx context.Context, b spec.Benchmark, v Variant, o
 }
 
 func (r *Runner) runBenchmark(ctx context.Context, s *sem, b spec.Benchmark) (*Result, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	res := &Result{
 		Name:        b.Name,
 		CompileTime: make(map[BuildMode]time.Duration),
@@ -433,26 +458,12 @@ func (r *Runner) runBenchmark(ctx context.Context, s *sem, b spec.Benchmark) (*R
 	modes := []BuildMode{CompileEach, CompileAll}
 	objsByMode := make([][]*objfile.Object, len(modes))
 	times := make([]time.Duration, len(modes))
-	errs := make([]error, len(modes))
-	var wg sync.WaitGroup
-	for i, mode := range modes {
-		wg.Add(1)
-		go func(i int, mode BuildMode) {
-			defer wg.Done()
-			release, err := s.acquire(ctx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer release()
-			objsByMode[i], times[i], errs[i] = r.compile(b, mode)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, mode)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	err := s.fanOut(ctx, len(modes), func(_ context.Context, i int) error {
+		var err error
+		objsByMode[i], times[i], err = r.compile(b, modes[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i, mode := range modes {
@@ -462,25 +473,12 @@ func (r *Runner) runBenchmark(ctx context.Context, s *sem, b spec.Benchmark) (*R
 	// Fan every matrix cell out as an independent link+simulate job.
 	vs := AllVariants()
 	ms := make([]*Measurement, len(vs))
-	cellErrs := make([]error, len(vs))
-	for i, v := range vs {
-		wg.Add(1)
-		go func(i int, v Variant) {
-			defer wg.Done()
-			release, err := s.acquire(ctx)
-			if err != nil {
-				cellErrs[i] = err
-				return
-			}
-			defer release()
-			ms[i], cellErrs[i] = r.measureCell(ctx, b, v, objsByMode[v.Build])
-			if cellErrs[i] != nil {
-				cancel()
-			}
-		}(i, v)
-	}
-	wg.Wait()
-	if err := firstError(cellErrs); err != nil {
+	err = s.fanOut(ctx, len(vs), func(ctx context.Context, i int) error {
+		var err error
+		ms[i], err = r.measureCell(ctx, b, vs[i], objsByMode[vs[i].Build])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 

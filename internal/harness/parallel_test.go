@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -136,5 +137,33 @@ func TestRunnerCancellation(t *testing.T) {
 	cancel()
 	if _, err := r.RunBenchmark(ctx, tinyBenchmark()); err == nil {
 		t.Fatal("expected error from canceled context")
+	}
+}
+
+// TestFanOutReportsRootCause: when one job fails, fanOut cancels the jobs
+// still running or waiting for a slot, waits for the running ones, and
+// reports the failure rather than the cancellations it caused. The other
+// jobs block until canceled, so a fanOut that did not cancel would hang.
+func TestFanOutReportsRootCause(t *testing.T) {
+	boom := errors.New("job 2 failed")
+	started := make([]bool, 4)
+	finished := make([]bool, len(started))
+	s := &sem{ch: make(chan struct{}, len(started))}
+	err := s.fanOut(context.Background(), len(started), func(ctx context.Context, i int) error {
+		started[i] = true
+		defer func() { finished[i] = true }()
+		if i == 2 {
+			return boom
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("fanOut = %v, want the failing job's error", err)
+	}
+	for i := range started {
+		if started[i] != finished[i] {
+			t.Errorf("job %d was still running when fanOut returned", i)
+		}
 	}
 }

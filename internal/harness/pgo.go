@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/buildcache"
 	"repro/internal/link"
@@ -76,30 +75,13 @@ func (r *Runner) RunPGO(ctx context.Context, names []string) ([]PGORow, error) {
 	if _, err := r.libObjects(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	s := r.newSem()
 	rows := make([]PGORow, len(benches))
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b spec.Benchmark) {
-			defer wg.Done()
-			release, err := s.acquire(ctx)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer release()
-			rows[i], errs[i] = r.pgoBenchmark(ctx, b)
-			if errs[i] != nil {
-				cancel()
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	err = r.newSem().fanOut(ctx, len(benches), func(ctx context.Context, i int) error {
+		var err error
+		rows[i], err = r.pgoBenchmark(ctx, benches[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rows, nil

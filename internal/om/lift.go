@@ -16,7 +16,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/axp"
@@ -191,9 +193,6 @@ type Prog struct {
 	// nOrd is the ordinal count assigned by the last renumber (the size of
 	// Emit's address scratch). 0 means the program was never renumbered.
 	nOrd int
-	// par bounds the goroutines used by per-procedure passes (see
-	// forEachProc); 0 or 1 means serial.
-	par int
 	// before holds the before-statistics lift counts: instructions,
 	// address loads, call sites and GP resets (see Stats.addBefore).
 	before Stats
@@ -239,21 +238,19 @@ type liftedModule struct {
 
 // Lift translates every procedure of the merged program into symbolic form.
 func Lift(p *link.Program) (*Prog, error) {
-	return lift(context.Background(), p, 1)
+	return lift(context.Background(), p)
 }
 
-// lift is Lift with cancellation and bounded per-module parallelism.
-// Modules are lifted independently and merged in module order, so the
-// resulting Prog is identical for every parallelism setting.
-func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
+// lift is Lift with cancellation. Modules are lifted independently on up
+// to GOMAXPROCS workers and merged in module order, so the resulting Prog
+// is identical however many workers ran.
+func lift(ctx context.Context, p *link.Program) (*Prog, error) {
 	// A program whose literal pools do not intern lifts with every target
 	// id -1; GAT assignment reports the error.
 	targets, _ := link.TargetsOf(p)
 	mods := make([]*liftedModule, len(p.Objects))
 	errs := make([]error, len(p.Objects))
-	if par > len(p.Objects) {
-		par = len(p.Objects)
-	}
+	par := min(runtime.GOMAXPROCS(0), len(p.Objects))
 	maxWords := 0
 	for _, obj := range p.Objects {
 		maxWords = max(maxWords, int(obj.Sections[objfile.SecText].Size/4))
@@ -333,6 +330,38 @@ func lift(ctx context.Context, p *link.Program, par int) (*Prog, error) {
 		}
 	}
 	return pg, nil
+}
+
+// runWorkers runs n goroutines of work and waits for all of them. A panic
+// in one is raised again in the caller once every goroutine has returned,
+// so a recover around the link (omd's per-job recovery) sees it instead of
+// the process dying.
+func runWorkers(n int, work func()) {
+	var g struct {
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked any
+	}
+	g.wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer g.wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					g.mu.Lock()
+					if g.panicked == nil {
+						g.panicked = v
+					}
+					g.mu.Unlock()
+				}
+			}()
+			work()
+		}()
+	}
+	g.wg.Wait()
+	if g.panicked != nil {
+		panic(g.panicked)
+	}
 }
 
 // liftScratch holds one lift worker's buffers, reused module to module.

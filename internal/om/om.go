@@ -2,7 +2,6 @@ package om
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/link"
 	"repro/internal/objfile"
@@ -12,16 +11,15 @@ import (
 
 // config is the resolved option set of one Run.
 type config struct {
-	level       Level
-	schedule    bool
-	ablation    Ablation
-	instrument  bool
-	parallelism int
-	trace       bool
-	metrics     *obs.Registry
-	profile     *profile.Profile
-	span        *obs.Span
-	observer    func(ProgStage, *Prog, *Plan) error
+	level      Level
+	schedule   bool
+	ablation   Ablation
+	instrument bool
+	trace      bool
+	metrics    *obs.Registry
+	profile    *profile.Profile
+	span       *obs.Span
+	observer   func(ProgStage, *Prog, *Plan) error
 }
 
 // Option configures a Run.
@@ -48,12 +46,6 @@ func WithAblation(ab Ablation) Option {
 // The optimization level and ablation settings are ignored; the block table
 // is returned in Result.Blocks.
 func WithInstrumentation() Option { return func(c *config) { c.instrument = true } }
-
-// WithParallelism bounds the number of goroutines used for per-procedure
-// lifting and transformation. n <= 0 selects GOMAXPROCS. Every setting
-// produces byte-identical output: procedures are analyzed independently and
-// the plan is applied in program order.
-func WithParallelism(n int) Option { return func(c *config) { c.parallelism = n } }
 
 // WithTrace collects the decision journal: one event per address load,
 // call site, and GP-reset pair, explaining its final disposition with a
@@ -122,26 +114,21 @@ type Result struct {
 // Run is the single OM entrypoint: lift the merged program to symbolic
 // form, analyze and transform it as the options direct, and regenerate an
 // executable image. The context cancels long analyses between passes and
-// rounds; per-procedure work is spread across goroutines (WithParallelism)
-// while keeping the output byte-identical to a serial run.
+// rounds. Lift decodes modules on up to GOMAXPROCS goroutines; the passes
+// run serially, procedure by procedure.
 func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) {
 	cfg := config{level: LevelFull}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.parallelism <= 0 {
-		cfg.parallelism = runtime.GOMAXPROCS(0)
-	}
-
 	liftSpan := cfg.span.Child("om/lift")
 	liftDone := obs.StartSpan(cfg.metrics.Timer("om/lift"))
-	pg, err := lift(ctx, p, cfg.parallelism)
+	pg, err := lift(ctx, p)
 	liftDone()
 	liftSpan.End()
 	if err != nil {
 		return nil, err
 	}
-	pg.par = cfg.parallelism
 	cfg.metrics.Counter("om/decode/modules").Add(uint64(len(p.Objects)))
 	cfg.metrics.Counter("om/lift/procs").Add(uint64(len(pg.Procs)))
 

@@ -14,11 +14,9 @@ const OptionsVersion = "om-options/v1"
 // configJSON is the wire form of config. The field set and order are part
 // of the format: the golden test pins the exact bytes, so any drift between
 // what Run accepts and what serializes is a test failure, not a silent
-// skew. Parallelism is deliberately absent — it never changes the output
-// image (determinism by construction), so it is an execution detail the
-// runner chooses, not part of a job's identity. Metrics registries and
-// profiles cannot be serialized here; they are attached at run time
-// (profiles travel as their own om-profile/v1 document).
+// skew. Metrics registries and profiles cannot be serialized here; they
+// are attached at run time (profiles travel as their own om-profile/v1
+// document).
 type configJSON struct {
 	Version    string    `json:"version"`
 	Level      string    `json:"level"`
@@ -117,9 +115,8 @@ func (c *config) UnmarshalJSON(data []byte) error {
 // returns its canonical serialized form. Two option lists that Run treats
 // identically marshal to identical bytes, so the result doubles as a
 // content-address component for job coalescing. Options that carry live
-// objects (WithMetrics, WithProfile) and the execution-only WithParallelism
-// are not part of the form; MarshalOptions rejects the first two and
-// ignores the third.
+// objects (WithMetrics, WithProfile) are not part of the form, and
+// MarshalOptions rejects them.
 func MarshalOptions(opts ...Option) ([]byte, error) {
 	cfg := config{level: LevelFull}
 	for _, o := range opts {

@@ -44,11 +44,6 @@ func TestOptionsGoldenJSON(t *testing.T) {
 			opts: []Option{WithInstrumentation()},
 			want: `{"version":"om-options/v1","level":"full","schedule":false,"instrument":true,"trace":false}`,
 		},
-		{
-			name: "parallelism is not part of the form",
-			opts: []Option{WithLevel(LevelNone), WithParallelism(7)},
-			want: `{"version":"om-options/v1","level":"none","schedule":false,"instrument":false,"trace":false}`,
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package om
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -18,9 +19,10 @@ func imageBytes(t *testing.T, im *objfile.Image) []byte {
 	return buf.Bytes()
 }
 
-// TestParallelOutputIdentical checks the determinism-by-construction claim:
-// at every optimization level, an OM run with many analysis goroutines
-// produces an image byte-identical to the serial run, with equal stats.
+// TestParallelOutputIdentical checks the determinism-by-construction claim
+// for lift's module workers: at every optimization level, a run under
+// GOMAXPROCS 4 (several lift workers) produces an image byte-identical to a
+// run under GOMAXPROCS 1 (a serial lift), with equal stats.
 func TestParallelOutputIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,20 +33,21 @@ func TestParallelOutputIdentical(t *testing.T) {
 		{"full", []Option{WithLevel(LevelFull)}},
 		{"full+sched", []Option{WithLevel(LevelFull), WithSchedule(true)}},
 	}
+	runAt := func(t *testing.T, procs int, opts []Option) *Result {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Run(context.Background(), freshProgram(t), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial, err := Run(context.Background(), freshProgram(t),
-				append([]Option{WithParallelism(1)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := Run(context.Background(), freshProgram(t),
-				append([]Option{WithParallelism(8)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := runAt(t, 1, tc.opts)
+			par := runAt(t, 4, tc.opts)
 			if !bytes.Equal(imageBytes(t, serial.Image), imageBytes(t, par.Image)) {
-				t.Error("parallel image differs from serial image")
+				t.Error("image lifted by 4 workers differs from the serially lifted image")
 			}
 			switch {
 			case serial.Stats == nil && par.Stats == nil:

@@ -19,11 +19,8 @@ import (
 // PV-load nullification), exactly as the paper reports.
 func applyCallOpts(pg *Prog, pl *Plan, full bool) bool {
 	singleGAT := len(pl.gat.Slots) == 1
-	// Call sites mutate only their own procedure (the PV literal a LITUSE
-	// chain names is always in the same procedure); callee state is only
-	// read, and no concurrent call writes it. Safe to fan out per procedure.
-	return pg.forEachProc(func(pr *Proc) bool {
-		changed := false
+	changed := false
+	for _, pr := range pg.Procs {
 		// A caller whose own prologue was deleted holds whatever GP its
 		// caller had; with multiple GATs that value cannot be trusted to
 		// satisfy a skipped callee prologue.
@@ -77,8 +74,8 @@ func applyCallOpts(pg *Prog, pl *Plan, full bool) bool {
 			}
 			changed = true
 		}
-		return changed
-	})
+	}
+	return changed
 }
 
 // normalizeLocalEntries re-derives the entry offset of every direct call

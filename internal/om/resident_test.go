@@ -132,7 +132,7 @@ func TestEmitAllocsConstant(t *testing.T) {
 	}
 	ctx := context.Background()
 	probe := func(src string, sched bool) float64 {
-		pg, err := lift(ctx, buildProgram(t, []tcc.Source{{Name: "prog", Text: src}}), 1)
+		pg, err := Lift(buildProgram(t, []tcc.Source{{Name: "prog", Text: src}}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,12 +37,10 @@ func applyAddressOpts(pg *Prog, pl *Plan, full bool) bool {
 }
 
 // applyAddressOptsEx is applyAddressOpts with the ldah/lda pair insertion
-// separately controllable (for ablation studies). Address loads and their
-// uses are procedure-local and the layout plan is frozen for the duration
-// of the pass, so procedures transform concurrently.
+// separately controllable (for ablation studies).
 func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
-	return pg.forEachProc(func(pr *Proc) bool {
-		changed := false
+	changed := false
+	for _, pr := range pg.Procs {
 		gp := int64(pl.GPOf(pr))
 		type insertion struct {
 			after *SInst
@@ -169,8 +167,8 @@ func applyAddressOptsEx(pg *Prog, pl *Plan, full, insertOK bool) bool {
 			}
 			pr.Insts = out
 		}
-		return changed
-	})
+	}
+	return changed
 }
 
 // resetCallee determines the procedure a call site transfers to, or nil for
@@ -190,11 +188,8 @@ func resetCallee(pg *Prog, call *SInst) *Proc {
 // caller's GP. Returns whether anything changed.
 func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 	singleGAT := len(pl.gat.Slots) == 1
-	// A GP-reset pair, its call, and its partner all live in the same
-	// procedure; callee identity is read through the frozen plan. Safe to
-	// fan out per procedure.
-	return pg.forEachProc(func(pr *Proc) bool {
-		changed := false
+	changed := false
+	for _, pr := range pg.Procs {
 		for _, si := range pr.Insts {
 			if si.Deleted || si.GPD == nil || !si.GPD.High || si.GPD.Entry {
 				continue
@@ -218,8 +213,8 @@ func applyGPResetOpts(pg *Prog, pl *Plan, full bool) bool {
 			nullifyInst(si.GPD.Partner, full)
 			changed = true
 		}
-		return changed
-	})
+	}
+	return changed
 }
 
 // pairPosition locates the prologue GP pair of a procedure among its live
@@ -259,24 +254,23 @@ func liveIndex(pr *Proc, target *SInst) int {
 // pair sits exactly at entry (the condition for callers to skip it with a
 // bsr to entry+8).
 func markPairPositions(pg *Prog) {
-	pg.forEachProc(func(pr *Proc) bool {
+	for _, pr := range pg.Procs {
 		hi, hiIdx, loIdx := pairPosition(pr)
 		pr.PairAtEntry = hi != nil && hiIdx == 0 && loIdx == 1
-		return false
-	})
+	}
 }
 
 // restoreProloguePairs (OM-full) moves scheduler-displaced prologue GP pairs
 // back to their logical place at procedure entry, enabling the bsr-skip
-// optimization that OM-simple must forgo. Each restoration rearranges only
-// its own procedure's instruction list, so procedures proceed concurrently.
-// Like markPairPositions, it leaves PairAtEntry set for every procedure.
+// optimization that OM-simple must forgo. Like markPairPositions, it leaves
+// PairAtEntry set for every procedure.
 func restoreProloguePairs(pg *Prog) {
-	pg.forEachProc(func(pr *Proc) bool {
+procs:
+	for _, pr := range pg.Procs {
 		hi, hiIdx, loIdx := pairPosition(pr)
 		pr.PairAtEntry = hi != nil && hiIdx == 0 && loIdx == 1
 		if hi == nil || pr.PairAtEntry {
-			return false
+			continue
 		}
 		lo := hi.GPD.Partner
 		// The pair must still be in the entry block (no intervening labels
@@ -295,7 +289,7 @@ func restoreProloguePairs(pg *Prog) {
 				first = si
 			}
 			if si != hi && si != lo && !pairMovableOver(si, i) {
-				return false
+				continue procs
 			}
 			i++
 		}
@@ -315,8 +309,7 @@ func restoreProloguePairs(pg *Prog) {
 		// The pair now leads the procedure; it sits at entry unless its lo
 		// half was already deleted.
 		pr.PairAtEntry = !lo.Deleted
-		return true
-	})
+	}
 }
 
 // pairMovableOver reports whether the prologue GP pair may move above si,

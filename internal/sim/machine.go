@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -54,6 +55,11 @@ func DefaultConfig() Config {
 }
 
 const defaultMaxInstructions = 400_000_000
+
+// ErrInstructionLimit is wrapped by the error of a run that executed
+// Config.MaxInstructions instructions without halting, so a caller can tell
+// a capped run from a faulting one.
+var ErrInstructionLimit = errors.New("sim: instruction limit exceeded")
 
 // Stats aggregates the timing model's counters.
 type Stats struct {
@@ -285,7 +291,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	timing := m.cfg.Timing
 	for !m.halted {
 		if m.stats.Instructions >= maxInst {
-			return nil, fmt.Errorf("sim: instruction limit (%d) exceeded at pc=%#x", maxInst, m.PC)
+			return nil, fmt.Errorf("%w (%d) at pc=%#x", ErrInstructionLimit, maxInst, m.PC)
 		}
 		if done != nil && m.stats.Instructions&cancelCheckMask == 0 {
 			select {
@@ -323,7 +329,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 			// Straight-line fallthrough: the next uop is at PC. Keep the
 			// classic loop's per-instruction limit and cancellation cadence.
 			if m.stats.Instructions >= maxInst {
-				return nil, fmt.Errorf("sim: instruction limit (%d) exceeded at pc=%#x", maxInst, m.PC)
+				return nil, fmt.Errorf("%w (%d) at pc=%#x", ErrInstructionLimit, maxInst, m.PC)
 			}
 			if done != nil && m.stats.Instructions&cancelCheckMask == 0 {
 				select {

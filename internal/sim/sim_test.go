@@ -206,10 +206,19 @@ func TestExecErrors(t *testing.T) {
 	if _, err := Run(image(t, bad), Config{}); err == nil {
 		t.Error("expected unaligned-access error")
 	}
-	// Runaway loop hits the instruction cap.
+	// Runaway loop hits the instruction cap at a block boundary.
 	loop := []axp.Inst{axp.BranchInst(axp.BR, axp.Zero, -1)}
-	if _, err := Run(image(t, loop), Config{MaxInstructions: 1000}); err == nil {
-		t.Error("expected instruction-limit error")
+	if _, err := Run(image(t, loop), Config{MaxInstructions: 1000}); !errors.Is(err, ErrInstructionLimit) {
+		t.Errorf("loop: got %v, want ErrInstructionLimit", err)
+	}
+	// A straight-line block longer than the cap hits it mid-block.
+	line := make([]axp.Inst, 8)
+	for i := range line {
+		line[i] = axp.Nop()
+	}
+	line = append(line, outAndHalt(axp.T0)...)
+	if _, err := Run(image(t, line), Config{MaxInstructions: 4}); !errors.Is(err, ErrInstructionLimit) {
+		t.Errorf("straight line: got %v, want ErrInstructionLimit", err)
 	}
 	// PC escaping text.
 	escape := []axp.Inst{axp.JumpInst(axp.JMP, axp.Zero, axp.Zero)}
