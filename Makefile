@@ -49,14 +49,14 @@ lint:
 	else \
 		echo "lint: govulncheck $(GOVULNCHECK_VERSION) not installed; skipping (CI runs it)"; fi
 
-# lint-smoke is the static-analysis gate on the linker's own output: the
-# fault-injection probe must prove the dataflow checks still have teeth (a
+# lint-smoke is the static-analysis gate on the linker's own output:
+# `omverify -faultcheck` must prove the dataflow checks still have teeth (a
 # deliberately broken pass run must be caught statically, no simulator, no
 # journal), and a command-line `om -check static` link of a small program
 # must come back clean. The golden matrix runs the same analyses under
 # verify-smoke's full check.
 lint-smoke:
-	$(GO) run ./cmd/omlint -faultcheck
+	$(GO) run ./cmd/omverify -faultcheck
 	@dir=$$(mktemp -d); \
 	printf 'long t[8];\nlong down(long a, long b) { return b - a; }\nlong main() { long i; i = 0; while (i < 8) { t[i] = lhash(i) %% 31; i = i + 1; } qsort8(t, 0, 7, down); print(t[0]); return 0; }\n' > $$dir/t.tc; \
 	$(GO) run ./cmd/tcc -o $$dir/t.o $$dir/t.tc && \

@@ -12,9 +12,10 @@
 // whole-program dataflow analysis over the symbolic program before and
 // after the optimization passes and over the emitted image; full adds
 // translation validation of the image against the link's own decision
-// journal. Any error finding or failed verdict refuses the image. At full
-// with -trace, the om-verify/v1 verdict document is written next to the
-// journal as <trace>.verify.json.
+// journal. Any error finding or failed verdict refuses the image. With
+// -trace, the whole om-check/v1 document (every report, info findings
+// included, and at full the verdicts) is written next to the journal as
+// <trace>.check.json, also when the check refuses the image.
 //
 // -profile enables profile-guided procedure layout from an om-profile/v1
 // document (collected with axsim -profileout or om -instrument feedback);
@@ -32,7 +33,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/link"
-	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/om"
 	"repro/internal/profile"
@@ -48,7 +48,7 @@ func main() {
 	shared := flag.String("shared", "", "comma-separated module names to treat as a dynamically-linked shared library")
 	profFile := flag.String("profile", "", "om-profile JSON document driving profile-guided procedure layout")
 	stats := flag.Bool("stats", false, "print static optimization statistics")
-	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file")
+	trace := flag.String("trace", "", "write the decision journal (one event per address load/call/GP-reset) to this file, and with -check the check document to <file>.check.json")
 	checkFlag := flag.String("check", "off", "prove the output before writing it: off, static (dataflow analysis) or full (static plus translation validation)")
 	metrics := flag.Bool("metrics", false, "print per-phase timings as JSON on stderr")
 	verbose := flag.Bool("v", false, "print progress")
@@ -63,55 +63,28 @@ func main() {
 		})
 	}
 
-	chk := &verify.Checker{}
-	var err error
-	if chk.Level, err = verify.ParseCheckLevel(*checkFlag); err != nil {
+	checkLevel, err := verify.ParseCheckLevel(*checkFlag)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "om:", err)
 		os.Exit(2)
 	}
+	chk := &verify.Checker{Level: checkLevel}
 
-	var lvl om.Level
-	switch *level {
-	case "none":
-		lvl = om.LevelNone
-	case "simple":
-		lvl = om.LevelSimple
-	case "full":
-		lvl = om.LevelFull
-	default:
-		fmt.Fprintf(os.Stderr, "om: unknown level %q\n", *level)
+	lvl, err := om.ParseLevel(*level)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	var objs []*objfile.Object
-	for _, name := range flag.Args() {
-		f, err := os.Open(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "om:", err)
-			os.Exit(1)
-		}
-		obj, err := objfile.Read(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "om: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		objs = append(objs, obj)
-	}
-	if len(objs) == 0 {
+	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "om: no input objects")
 		os.Exit(2)
 	}
-	logger.Logf("om: read %d object modules", len(objs))
-	if !*nostdlib {
-		lib, err := rtlib.StandardObjects()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "om:", err)
-			os.Exit(1)
-		}
-		objs = append(objs, lib...)
-		logger.Logf("om: linked runtime library (%d modules total)", len(objs))
+	objs, err := rtlib.LoadObjects(flag.Args(), !*nostdlib)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "om:", err)
+		os.Exit(1)
 	}
+	logger.Logf("om: read %d object modules (%d with the runtime library)", flag.NArg(), len(objs))
 
 	p, err := link.Merge(objs)
 	if err != nil {
@@ -157,6 +130,11 @@ func main() {
 	im := res.Image
 	if chk.Level != verify.CheckOff {
 		doc, err := chk.Finish(res)
+		if err == nil && *trace != "" {
+			if err = writeCheckDoc(*trace+".check.json", doc); err == nil {
+				logger.Logf("om: wrote the check document to %s.check.json", *trace)
+			}
+		}
 		if err == nil {
 			err = doc.Err()
 		}
@@ -165,18 +143,6 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Logf("om: check %s ok (%d checks)", chk.Level, doc.Checked())
-		if doc.Verify != nil && *trace != "" {
-			vf, err := os.Create(*trace + ".verify.json")
-			if err == nil {
-				err = verify.Write(vf, doc.Verify)
-				vf.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "om: check:", err)
-				os.Exit(1)
-			}
-			logger.Logf("om: wrote verdicts to %s.verify.json", *trace)
-		}
 	}
 	if *stats {
 		fmt.Fprintln(os.Stderr, res.Stats)
@@ -213,4 +179,17 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Logf("om: wrote %s", *out)
+}
+
+// writeCheckDoc writes a check document to the named file.
+func writeCheckDoc(name string, doc *verify.CheckDoc) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	if err := doc.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

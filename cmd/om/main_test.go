@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/om"
 	"repro/internal/tcc"
+	"repro/internal/verify"
 )
 
 // TestMain re-enters main when the test binary is started as the om command
@@ -45,9 +46,10 @@ func runOM(t *testing.T, fault bool, args ...string) (int, string) {
 	return 0, stderr.String()
 }
 
-// TestCheckLevels: -check static and -check full link a clean program (full
-// with -trace also writes the verdict document), refuse to write the image
-// of a deliberately broken pass run, and -check off lets that image through.
+// TestCheckLevels: -check static and -check full link a clean program and,
+// with -trace, write the om-check/v1 document (three reports at both
+// levels, verdicts only at full), refuse to write the image of a
+// deliberately broken pass run, and -check off lets that image through.
 func TestCheckLevels(t *testing.T) {
 	dir := t.TempDir()
 	obj, err := tcc.Compile("prog", []tcc.Source{{Name: "prog", Text: `
@@ -82,9 +84,18 @@ long main() {
 		if _, err := os.Stat(out); err != nil {
 			t.Fatalf("-check %s wrote no image: %v", level, err)
 		}
-		_, err := os.Stat(trace + ".verify.json")
-		if (err == nil) != (level == "full") {
-			t.Fatalf("-check %s: verdict document written=%v", level, err == nil)
+		f, err := os.Open(trace + ".check.json")
+		if err != nil {
+			t.Fatalf("-check %s wrote no check document: %v", level, err)
+		}
+		doc, err := verify.ReadCheckDoc(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("-check %s: %v", level, err)
+		}
+		if doc.Level != level || len(doc.Reports) != 3 || (doc.Verify != nil) != (level == "full") {
+			t.Fatalf("-check %s: document at level %s with %d reports, verdicts=%v; want 3 reports, verdicts only at full",
+				level, doc.Level, len(doc.Reports), doc.Verify != nil)
 		}
 
 		broken := filepath.Join(dir, level+".broken")

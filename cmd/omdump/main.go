@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/axp"
 	"repro/internal/link"
-	"repro/internal/objfile"
 	"repro/internal/om"
 	"repro/internal/rtlib"
 )
@@ -31,32 +30,14 @@ func main() {
 	level := flag.String("level", "full", "optimization level for -stats: none, simple, or full")
 	flag.Parse()
 
-	var objs []*objfile.Object
-	for _, name := range flag.Args() {
-		f, err := os.Open(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "omdump:", err)
-			os.Exit(1)
-		}
-		obj, err := objfile.Read(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "omdump: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		objs = append(objs, obj)
-	}
-	if len(objs) == 0 {
+	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "omdump: no input objects")
 		os.Exit(2)
 	}
-	if !*nostdlib {
-		lib, err := rtlib.StandardObjects()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "omdump:", err)
-			os.Exit(1)
-		}
-		objs = append(objs, lib...)
+	objs, err := rtlib.LoadObjects(flag.Args(), !*nostdlib)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "omdump:", err)
+		os.Exit(1)
 	}
 	p, err := link.Merge(objs)
 	if err != nil {

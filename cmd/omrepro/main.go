@@ -61,21 +61,20 @@ func main() {
 	logger := harness.LoggerFunc(func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
-	ropts := []harness.RunnerOption{harness.WithParallelism(*jobs)}
+	r := harness.New()
+	r.Parallelism = *jobs
 	if *verbose {
-		ropts = append(ropts, harness.WithLogger(logger))
+		r.Logger = logger
 	}
-	var reg *obs.Registry
 	if *metrics {
-		reg = obs.NewRegistry()
-		ropts = append(ropts, harness.WithMetrics(reg))
+		r.Metrics = obs.NewRegistry()
 	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o777); err != nil {
 			fmt.Fprintln(os.Stderr, "omrepro:", err)
 			os.Exit(1)
 		}
-		ropts = append(ropts, harness.WithTrace(true))
+		r.Trace = true
 	}
 	if *cacheDir != "off" {
 		cache, err := buildcache.New(*cacheDir)
@@ -83,12 +82,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "omrepro:", err)
 			os.Exit(1)
 		}
-		ropts = append(ropts, harness.WithCache(cache))
-	}
-	r, err := harness.New(ropts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "omrepro:", err)
-		os.Exit(1)
+		r.Cache = cache
 	}
 
 	var names []string

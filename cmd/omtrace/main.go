@@ -8,11 +8,13 @@
 //
 //	omtrace [-check [-verify doc]] [-json] [-kept] [-proc name] [-reason substr] journal.json...
 //
-// -check -verify cross-checks the journal against an om-verify/v1 verdict
-// document (written by `om -check full -trace` or omverify): the two
+// -check -verify cross-checks the journal against the verdicts of an
+// om-check/v1 document (written by `om -check full -trace` as
+// <trace>.check.json, or by `omverify -image -journal -json`): the two
 // accounting systems must agree event-for-event on every reason code, so a
 // validator that silently dropped events — or a journal reason the
-// validator does not model — fails the gate.
+// validator does not model — fails the gate. A document without verdicts
+// (check level static) is refused.
 package main
 
 import (
@@ -28,7 +30,7 @@ import (
 
 func main() {
 	check := flag.Bool("check", false, "verify journal accounting (events cover 100% of sites) and exit")
-	verifyFile := flag.String("verify", "", "om-verify/v1 verdict document to cross-check reason counts against (with -check)")
+	verifyFile := flag.String("verify", "", "om-check/v1 document whose verdicts to cross-check reason counts against (with -check)")
 	jsonOut := flag.Bool("json", false, "emit a JSON summary instead of the text report")
 	keptOnly := flag.Bool("kept", false, "list only sites that stayed unoptimized")
 	procFilter := flag.String("proc", "", "restrict the site listing to the named procedure")
@@ -50,12 +52,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "omtrace:", err)
 			os.Exit(1)
 		}
-		vdoc, err = verify.Read(vf)
+		doc, err := verify.ReadCheckDoc(vf)
 		vf.Close()
+		if err == nil && doc.Verify == nil {
+			err = fmt.Errorf("check level %s holds no verdicts; link with -check full", doc.Level)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "omtrace: %s: %v\n", *verifyFile, err)
 			os.Exit(1)
 		}
+		vdoc = doc.Verify
 	}
 
 	ok := true

@@ -1,12 +1,15 @@
 // Command omverify is the correctness gate for the link-time optimizer: it
-// translation-validates OM's decision journal against produced images and
-// differentially executes generated programs across the option matrix.
+// checks linked images, runs the check matrix over benchmarks and user
+// objects, and differentially executes generated programs across the
+// option matrix. A single link is checked by om -check.
 //
 // Usage:
 //
 //	omverify -matrix [-bench name,...] [-quick] [-json]
 //	omverify -diff N [-seed S] [-json]
-//	omverify -image a.out -journal journal.json [-json]
+//	omverify -image a.out [-journal journal.json] [-json]
+//	omverify -checks [-json]
+//	omverify -faultcheck
 //	omverify [-quick] [-nostdlib] [-json] file.o...
 //
 // -matrix compiles the named benchmarks (default: the full suite) and runs
@@ -23,12 +26,22 @@
 // output traps, output bytes, data memory); the optimized images are also
 // translation-validated, so one run exercises both pillars.
 //
-// -image translation-validates an already-linked image against its
-// decision journal (om -trace), which is required; the structural checks of
-// an image alone are `omlint -image`.
+// -image checks an already-linked image and prints its om-check/v1
+// document with -json. Alone it runs the dataflow analysis of the image,
+// structure included (level static); with the decision journal of the link
+// that produced it (om -trace), it also translation-validates the journal
+// against the image (level full). It exits 1 on any error finding or
+// failed verdict.
+//
+// -checks prints the dataflow analysis's check catalog (DF001…).
+//
+// -faultcheck is the detection-power self-test: it installs the standard
+// fault injection (a kept address load silently deleted after the passes),
+// links a fixture under om -check static, and fails unless the analysis
+// reports the break.
 //
 // With object file arguments, the objects are linked and checked across
-// the matrix cells directly.
+// the matrix cells; no other command runs the matrix over user objects.
 package main
 
 import (
@@ -39,8 +52,11 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/dataflow"
+	"repro/internal/link"
 	"repro/internal/objfile"
 	"repro/internal/obs"
+	"repro/internal/om"
 	"repro/internal/rtlib"
 	benchspec "repro/internal/spec"
 	"repro/internal/tcc"
@@ -53,14 +69,20 @@ func main() {
 	quick := flag.Bool("quick", false, "use the quick cell set instead of the full golden matrix")
 	diff := flag.Int("diff", 0, "run N differential cases (generated programs, unoptimized vs every quick cell)")
 	seed := flag.Int64("seed", 1, "base seed for -diff program generation")
-	image := flag.String("image", "", "validate this linked image instead of running the matrix")
-	journal := flag.String("journal", "", "decision journal for -image translation validation (required with -image)")
+	image := flag.String("image", "", "check this linked image instead of running the matrix")
+	journal := flag.String("journal", "", "decision journal of the -image link: adds translation validation (check level full)")
+	checks := flag.Bool("checks", false, "print the dataflow check catalog")
+	faultcheck := flag.Bool("faultcheck", false, "self-test: inject the standard pass fault and require a static finding")
 	nostdlib := flag.Bool("nostdlib", false, "do not add the runtime library to object file arguments")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
 	flag.Parse()
 
 	ctx := context.Background()
 	switch {
+	case *checks:
+		runChecks(*jsonOut)
+	case *faultcheck:
+		runFaultcheck(ctx)
 	case *image != "":
 		runImage(*image, *journal, *jsonOut)
 	case *diff > 0:
@@ -70,7 +92,7 @@ func main() {
 	case flag.NArg() > 0:
 		runObjects(ctx, flag.Args(), *nostdlib, cells(*quick), *jsonOut)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: omverify -matrix | -diff N | -image a.out | file.o...")
+		fmt.Fprintln(os.Stderr, "usage: omverify -matrix | -diff N | -image a.out | -checks | -faultcheck | file.o...")
 		os.Exit(2)
 	}
 }
@@ -87,12 +109,8 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// runImage translation-validates one linked image against its journal.
+// runImage checks one linked image, against its journal when one is given.
 func runImage(imgFile, journalFile string, jsonOut bool) {
-	if journalFile == "" {
-		fmt.Fprintln(os.Stderr, "omverify: -image requires -journal (use omlint -image for structural checks)")
-		os.Exit(2)
-	}
 	f, err := os.Open(imgFile)
 	if err != nil {
 		fail("%v", err)
@@ -102,34 +120,138 @@ func runImage(imgFile, journalFile string, jsonOut bool) {
 	if err != nil {
 		fail("%s: %v", imgFile, err)
 	}
-	jf, err := os.Open(journalFile)
-	if err != nil {
-		fail("%v", err)
+	var j *obs.JournalDoc
+	if journalFile != "" {
+		jf, err := os.Open(journalFile)
+		if err != nil {
+			fail("%v", err)
+		}
+		j, err = obs.ReadJournal(jf)
+		jf.Close()
+		if err != nil {
+			fail("%s: %v", journalFile, err)
+		}
 	}
-	j, err := obs.ReadJournal(jf)
-	jf.Close()
-	if err != nil {
-		fail("%s: %v", journalFile, err)
-	}
-	doc, err := verify.Translate(im, j)
+	doc, err := verify.CheckImage(im, j)
 	if err != nil {
 		fail("%s: %v", imgFile, err)
 	}
 	if jsonOut {
-		if err := verify.Write(os.Stdout, doc); err != nil {
+		if err := doc.Write(os.Stdout); err != nil {
 			fail("%v", err)
 		}
 	} else {
-		fmt.Printf("%s: %d checks, %d failed\n", imgFile, doc.Checked, doc.Failed)
-		for _, v := range doc.Verdicts {
-			if !v.OK {
-				fmt.Printf("  FAIL %s %s %s [%s]: %s\n", v.Cat, v.Proc, v.Reason, v.Rule, v.Err)
+		printCheck(imgFile, doc)
+	}
+	if doc.Err() != nil {
+		os.Exit(1)
+	}
+}
+
+// printCheck renders a check document: one line per report with its error
+// findings, then the verdict totals and failed verdicts.
+func printCheck(label string, doc *verify.CheckDoc) {
+	for _, r := range doc.Reports {
+		what := r.Source
+		if r.Stage != "" {
+			what += ":" + r.Stage
+		}
+		fmt.Printf("%-12s %-36s %6d checks  %d errors, %d info\n",
+			label, what, r.Checked, r.Errors(), len(r.Findings)-r.Errors())
+		for _, f := range r.Findings {
+			if f.Severity == dataflow.SevError {
+				fmt.Printf("  %s %s\n", f.Severity, f)
 			}
 		}
 	}
-	if doc.Failed > 0 {
-		os.Exit(1)
+	if v := doc.Verify; v != nil {
+		fmt.Printf("%-12s %-36s %6d checks  %d failed\n", label, "verify", v.Checked, v.Failed)
+		for _, vd := range v.Verdicts {
+			if !vd.OK {
+				fmt.Printf("  FAIL %s %s %s [%s]: %s\n", vd.Cat, vd.Proc, vd.Reason, vd.Rule, vd.Err)
+			}
+		}
 	}
+}
+
+// runChecks prints the stable check catalog.
+func runChecks(jsonOut bool) {
+	cat := dataflow.Checks()
+	if jsonOut {
+		emitJSON(cat)
+		return
+	}
+	for _, c := range cat {
+		fmt.Printf("%s %-22s %-5s %s\n", c.ID, c.Name, c.Severity, c.Doc)
+	}
+}
+
+// faultcheckProgram is the fixture the self-test optimizes and breaks. The
+// address-taken comparator guarantees a GAT address load survives OM-full
+// (a procedure literal cannot be converted to GP-relative arithmetic or to
+// a bsr), giving the fault hook a victim.
+const faultcheckProgram = `
+long table[24];
+long acc = 0;
+
+long step(long a, long b) { return b - a; }
+
+long main() {
+	long i;
+	for (i = 0; i < 24; i = i + 1) {
+		table[i] = lhash(i) % 97;
+		acc = acc + table[i];
+	}
+	qsort8(table, 0, 23, step);
+	print(acc);
+	return 0;
+}
+`
+
+// runFaultcheck proves detection power: with the standard fault injection
+// installed (a kept address load deleted after the passes), the static
+// check of an OM-full link must produce at least one error finding.
+func runFaultcheck(ctx context.Context) {
+	injected := false
+	defer om.SetFaultHookForTesting(func(pg *om.Prog) { injected = om.DeleteKeptLoad(pg) })()
+
+	obj, err := tcc.Compile("prog", []tcc.Source{{Name: "prog", Text: faultcheckProgram}}, tcc.DefaultOptions())
+	if err != nil {
+		fail("%v", err)
+	}
+	lib, err := rtlib.StandardObjects()
+	if err != nil {
+		fail("%v", err)
+	}
+	p, err := link.Merge(append([]*objfile.Object{obj}, lib...))
+	if err != nil {
+		fail("%v", err)
+	}
+	chk := &verify.Checker{Level: verify.CheckStatic}
+	res, err := om.Run(ctx, p, append(chk.Options(), om.WithLevel(om.LevelFull))...)
+	if err != nil {
+		fail("%v", err)
+	}
+	doc, err := chk.Finish(res)
+	if err != nil {
+		fail("%v", err)
+	}
+	if !injected {
+		fail("faultcheck: no kept address load to break — fixture no longer exercises the hook")
+	}
+	errs := 0
+	for _, r := range doc.Reports {
+		for _, f := range r.Findings {
+			if f.Severity == dataflow.SevError {
+				fmt.Printf("caught: %s:%s %s\n", r.Source, r.Stage, f)
+				errs++
+			}
+		}
+	}
+	if errs == 0 {
+		fail("faultcheck: the injected fault produced no error finding — detection power lost")
+	}
+	fmt.Printf("faultcheck ok: %d error finding(s) on the broken program\n", errs)
 }
 
 // runDiff is the differential-fuzzing mode.
@@ -189,25 +311,9 @@ func runBenchMatrix(ctx context.Context, names string, cs []verify.Cell, jsonOut
 
 // runObjects verifies already-compiled object files across the cell set.
 func runObjects(ctx context.Context, files []string, nostdlib bool, cs []verify.Cell, jsonOut bool) {
-	var objs []*objfile.Object
-	for _, name := range files {
-		f, err := os.Open(name)
-		if err != nil {
-			fail("%v", err)
-		}
-		obj, err := objfile.Read(f)
-		f.Close()
-		if err != nil {
-			fail("%s: %v", name, err)
-		}
-		objs = append(objs, obj)
-	}
-	if !nostdlib {
-		lib, err := rtlib.StandardObjects()
-		if err != nil {
-			fail("%v", err)
-		}
-		objs = append(objs, lib...)
+	objs, err := rtlib.LoadObjects(files, !nostdlib)
+	if err != nil {
+		fail("%v", err)
 	}
 	report(verify.RunMatrix(ctx, strings.Join(files, ","), objs, cs), jsonOut)
 }

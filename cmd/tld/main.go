@@ -24,7 +24,11 @@ func main() {
 	shared := flag.String("shared", "", "comma-separated module names to treat as a dynamically-linked shared library")
 	flag.Parse()
 
-	objs, err := loadObjects(flag.Args(), !*nostdlib)
+	if flag.NArg() == 0 {
+		fmt.Fprintln(os.Stderr, "tld: no input objects")
+		os.Exit(1)
+	}
+	objs, err := rtlib.LoadObjects(flag.Args(), !*nostdlib)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tld:", err)
 		os.Exit(1)
@@ -46,33 +50,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tld:", err)
 		os.Exit(1)
 	}
-}
-
-func loadObjects(names []string, withLib bool) ([]*objfile.Object, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no input objects")
-	}
-	var objs []*objfile.Object
-	for _, name := range names {
-		f, err := os.Open(name)
-		if err != nil {
-			return nil, err
-		}
-		obj, err := objfile.Read(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		objs = append(objs, obj)
-	}
-	if withLib {
-		lib, err := rtlib.StandardObjects()
-		if err != nil {
-			return nil, err
-		}
-		objs = append(objs, lib...)
-	}
-	return objs, nil
 }
 
 func writeImage(name string, im *objfile.Image) error {

@@ -83,7 +83,7 @@ type Inst struct {
 	// determines).
 	LoadVal *Value
 
-	// LitLoad marks a live GAT address load (an omlint check site);
+	// LitLoad marks a live GAT address load (a check site);
 	// LitSlotOK records the front-end's slot audit: the slot exists, its
 	// displacement is encodable, and (image level) its content is a
 	// plausible address.

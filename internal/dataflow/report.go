@@ -22,7 +22,8 @@ type Finding struct {
 	Detail string `json:"detail"`
 }
 
-// String renders the finding in the one-line text form omlint prints.
+// String renders the finding in the one-line text form the checking
+// commands print.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s %s %s +%#x: %s", f.ID, f.Check, f.Proc, f.Addr, f.Detail)
 }

@@ -37,10 +37,7 @@ type goldenCell struct {
 // is the proof that execution-core rewrites stay bit-identical. Regenerate
 // deliberately with: go test ./internal/harness -run GoldenStats -update
 func TestGoldenStatsMatrix(t *testing.T) {
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
 	var cells []goldenCell
 	for _, name := range goldenBenchmarks {
 		b, ok := spec.ByName(name)

@@ -147,62 +147,12 @@ type Runner struct {
 	libErr  error
 }
 
-// RunnerOption configures a Runner built by New, mirroring the om package's
-// functional-option style so harness construction and job construction read
-// the same way (and a daemon can assemble both from one request).
-type RunnerOption func(*Runner)
-
-// WithSimConfig replaces the default timing configuration.
-func WithSimConfig(cfg sim.Config) RunnerOption {
-	return func(r *Runner) { r.SimConfig = cfg }
-}
-
-// WithParallelism bounds the number of concurrently executing jobs
-// (compiles and link+simulate cells). n <= 0 selects GOMAXPROCS.
-func WithParallelism(n int) RunnerOption {
-	return func(r *Runner) { r.Parallelism = n }
-}
-
-// WithCache memoizes compiled objects in the given content-addressed cache
-// so repeated runs with unchanged sources skip compilation. A nil cache
-// disables caching (the default).
-func WithCache(c *buildcache.Cache) RunnerOption {
-	return func(r *Runner) { r.Cache = c }
-}
-
-// WithLogger routes progress lines to l; nil discards them (the default).
-func WithLogger(l Logger) RunnerOption {
-	return func(r *Runner) { r.Logger = l }
-}
-
-// WithMetrics records phase timers, cache traffic, and pool utilization
-// into the registry; nil disables recording (the default).
-func WithMetrics(m *obs.Registry) RunnerOption {
-	return func(r *Runner) { r.Metrics = m }
-}
-
-// WithTrace collects a decision journal for every OM-linked matrix cell
-// (Measurement.Journal).
-func WithTrace(on bool) RunnerOption {
-	return func(r *Runner) { r.Trace = on }
-}
-
-// WithSpan nests per-stage child spans under sp (see Runner.Span); nil
-// disables span recording (the default).
-func WithSpan(sp *obs.Span) RunnerOption {
-	return func(r *Runner) { r.Span = sp }
-}
-
-// New builds a runner with the default timing model, then applies the
-// options in order.
-func New(opts ...RunnerOption) (*Runner, error) {
+// New builds a runner with the default timing model and a 2e9-instruction
+// cap; set its fields to configure it before the first run.
+func New() *Runner {
 	cfg := sim.DefaultConfig()
 	cfg.MaxInstructions = 2_000_000_000
-	r := &Runner{SimConfig: cfg}
-	for _, o := range opts {
-		o(r)
-	}
-	return r, nil
+	return &Runner{SimConfig: cfg}
 }
 
 func (r *Runner) logf(format string, args ...any) {

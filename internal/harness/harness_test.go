@@ -10,10 +10,7 @@ import (
 
 func runOne(t *testing.T, name string) *Result {
 	t.Helper()
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
 	b, ok := spec.ByName(name)
 	if !ok {
 		t.Fatalf("no benchmark %s", name)
@@ -73,10 +70,7 @@ func TestRunBenchmarkMatrix(t *testing.T) {
 }
 
 func TestRunSuiteUnknownBenchmark(t *testing.T) {
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
 	if _, err := r.RunSuite(context.Background(), []string{"nosuch"}); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
@@ -101,10 +95,7 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation matrix in -short mode")
 	}
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
 	rows, err := r.RunAblations(context.Background(), []string{"spice"})
 	if err != nil {
 		t.Fatal(err)

@@ -13,10 +13,9 @@ import (
 // on: every OM cell must carry a checkable decision journal, and the
 // registry must show the phase timers and pool utilization.
 func TestRunBenchmarkObservability(t *testing.T) {
-	r, err := New(WithMetrics(obs.NewRegistry()), WithTrace(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
+	r.Metrics = obs.NewRegistry()
+	r.Trace = true
 	b, ok := spec.ByName("compress")
 	if !ok {
 		t.Fatal("no benchmark compress")

@@ -74,10 +74,8 @@ func TestParallelDeterminism(t *testing.T) {
 	b := tinyBenchmark()
 	var ref string
 	for _, par := range []int{1, 8} {
-		r, err := New(WithParallelism(par))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := New()
+		r.Parallelism = par
 		res, err := r.RunBenchmark(context.Background(), b)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -103,10 +101,9 @@ func TestRunnerCacheSkipsRecompiles(t *testing.T) {
 	}
 	b := tinyBenchmark()
 	run := func() {
-		r, err := New(WithParallelism(4), WithCache(cache))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := New()
+		r.Parallelism = 4
+		r.Cache = cache
 		if _, err := r.RunBenchmark(context.Background(), b); err != nil {
 			t.Fatal(err)
 		}
@@ -129,10 +126,7 @@ func TestRunnerCacheSkipsRecompiles(t *testing.T) {
 // TestRunnerCancellation checks that a canceled context aborts the suite
 // with the context's error.
 func TestRunnerCancellation(t *testing.T) {
-	r, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.RunBenchmark(ctx, tinyBenchmark()); err == nil {

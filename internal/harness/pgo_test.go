@@ -21,10 +21,8 @@ func TestRunPGO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(WithCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
+	r.Cache = cache
 
 	rows, err := r.RunPGO(context.Background(), []string{"li"})
 	if err != nil {
@@ -75,10 +73,8 @@ func TestRunPGOTraceJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pgo loop in -short mode")
 	}
-	r, err := New(WithTrace(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
+	r.Trace = true
 	rows, err := r.RunPGO(context.Background(), []string{"eqntott"})
 	if err != nil {
 		t.Fatal(err)

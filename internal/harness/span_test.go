@@ -14,10 +14,9 @@ import (
 // and simulations — even with cells running concurrently.
 func TestRunBenchmarkSpans(t *testing.T) {
 	tr := obs.NewTrace("harness-test", "matrix", time.Time{}, nil)
-	r, err := New(WithSpan(tr.Root()), WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := New()
+	r.Span = tr.Root()
+	r.Parallelism = 4
 	b, ok := spec.ByName("compress")
 	if !ok {
 		t.Fatal("no benchmark compress")

@@ -1,6 +1,7 @@
 package om
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/axp"
@@ -25,7 +26,14 @@ type layoutResult struct {
 	decisions []layoutDecision
 	// reverted marks call sites whose jsr→bsr conversion was undone.
 	reverted map[*SInst]bool
+	// rounds counts the branch-range checks the fixpoint ran.
+	rounds int
 }
+
+// ErrLayoutNoFixpoint reports a branch-range fixpoint that still found a
+// far call after reverting every converted direct call, which the bound in
+// applyLayout rules out for a correct pass.
+var ErrLayoutNoFixpoint = errors.New("om: layout: branch-range fixpoint did not converge")
 
 // layoutDecision explains one procedure's placement.
 type layoutDecision struct {
@@ -110,18 +118,37 @@ func applyLayout(pg *Prog, pl *Plan, prof *profile.Profile, full, sched bool) (*
 	// (data placement is unaffected); recompute, then iterate the range
 	// check to a fixpoint — reverting a conversion can resurrect a GAT slot
 	// and an instruction, shifting later addresses.
+	//
+	// The rounds are bounded by the converted direct calls plus one. A round
+	// that continues found a far call and reverts it (a call the compiler
+	// emitted as bsr cannot be reverted and fails the link instead). A
+	// reverted call is a jsr again and never converts back, so it is never
+	// far again: the set of converted calls only shrinks, by at least one
+	// per continuing round (Dickson's monotonicity argument). After at most
+	// converted reverting rounds none is left, and the next round finds no
+	// far call. A round past the bound is a broken invariant, reported as
+	// ErrLayoutNoFixpoint.
+	converted := 0
+	for _, pr := range pg.Procs {
+		for _, si := range pr.Insts {
+			if !si.Deleted && si.Call != nil && si.Call.FromJSR {
+				converted++
+			}
+		}
+	}
 	for round := 0; ; round++ {
 		var err error
 		pl, err = computePlan(pg, pl.opts)
 		if err != nil {
 			return nil, nil, err
 		}
+		res.rounds++
 		far := collectFarCalls(pg, pl, sched)
 		if len(far) == 0 {
 			break
 		}
-		if round > len(pg.Procs) {
-			return nil, nil, fmt.Errorf("om: layout: branch-range fixpoint did not converge")
+		if round > converted {
+			return nil, nil, fmt.Errorf("%w: %d far calls after %d rounds", ErrLayoutNoFixpoint, len(far), res.rounds)
 		}
 		for _, fc := range far {
 			if fc.si.Call == nil || !fc.si.Call.FromJSR {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/objfile"
+	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/sim"
 )
@@ -227,14 +228,21 @@ func TestLayoutAtEveryLevel(t *testing.T) {
 	}
 	want := run(t, baseIm)
 	for _, level := range []Level{LevelNone, LevelSimple, LevelFull} {
+		reg := obs.NewRegistry()
 		res, err := Run(context.Background(), freshProgram(t),
-			WithLevel(level), WithProfile(prof))
+			WithLevel(level), WithProfile(prof), WithMetrics(reg))
 		if err != nil {
 			t.Fatalf("%v+layout: %v", level, err)
 		}
 		got := run(t, res.Image)
 		if got.Exit != want.Exit || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
 			t.Errorf("%v+layout changed behavior", level)
+		}
+		// The fixture sits far inside the bsr window: one range check, no
+		// reverts.
+		rounds, reverted := reg.Counter("om/layout/rounds").Value(), reg.Counter("om/layout/reverted").Value()
+		if rounds != 1 || reverted != 0 {
+			t.Errorf("%v+layout: %d rounds, %d reverted; want 1 round, 0 reverted", level, rounds, reverted)
 		}
 	}
 }

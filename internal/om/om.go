@@ -54,8 +54,9 @@ func WithTrace() Option { return func(c *config) { c.trace = true } }
 
 // WithMetrics records per-phase wall time (om/lift, om/passes, om/layout,
 // om/emit) and the work counters (om/decode/modules, om/lift/procs,
-// om/passes/procs, and om/passes/rounds for the OM-full fixpoint) into the
-// registry. A nil registry disables recording.
+// om/passes/procs, om/passes/rounds for the OM-full fixpoint, and with a
+// profile om/layout/rounds and om/layout/reverted for the branch-range
+// fixpoint) into the registry. A nil registry disables recording.
 func WithMetrics(m *obs.Registry) Option { return func(c *config) { c.metrics = m } }
 
 // WithSpan nests per-phase child spans (om/lift, om/passes, om/layout,
@@ -210,6 +211,8 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
+		cfg.metrics.Counter("om/layout/rounds").Add(uint64(lay.rounds))
+		cfg.metrics.Counter("om/layout/reverted").Add(uint64(len(lay.reverted)))
 	}
 	if faultHook != nil {
 		faultHook(pg)

@@ -10,6 +10,7 @@ package rtlib
 
 import (
 	"fmt"
+	"os"
 	"sync"
 
 	"repro/internal/objfile"
@@ -400,4 +401,32 @@ func StandardObjects() ([]*objfile.Object, error) {
 		stdObjs, stdErr = Objects(tcc.DefaultOptions())
 	})
 	return stdObjs, stdErr
+}
+
+// LoadObjects reads the named object files in order and, when withLib is
+// set, appends the standard library. A file that fails to decode reports
+// "<file>: <err>"; one that fails to open reports the open error, which
+// names the file.
+func LoadObjects(names []string, withLib bool) ([]*objfile.Object, error) {
+	var objs []*objfile.Object
+	for _, name := range names {
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, err
+		}
+		obj, err := objfile.Read(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		objs = append(objs, obj)
+	}
+	if withLib {
+		lib, err := StandardObjects()
+		if err != nil {
+			return nil, err
+		}
+		objs = append(objs, lib...)
+	}
+	return objs, nil
 }

@@ -1,9 +1,13 @@
 package verify
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/dataflow"
+	"repro/internal/objfile"
+	"repro/internal/obs"
 	"repro/internal/om"
 )
 
@@ -39,12 +43,14 @@ func ParseCheckLevel(s string) (CheckLevel, error) {
 	return CheckOff, fmt.Errorf("unknown check level %q (want off, static or full)", s)
 }
 
-// CheckSchema identifies the check document format.
+// CheckSchema identifies the check document format, the one top-level
+// document every checking surface writes and reads.
 const CheckSchema = "om-check/v1"
 
-// CheckDoc is the outcome of one checked link: the om-lint/v1 reports of
-// the lifted program, the optimized program and the image, in that order,
-// and at CheckFull the om-verify/v1 verdict document.
+// CheckDoc is the outcome of one check: the om-lint/v1 reports (of a
+// checked link, the lifted program, the optimized program and the image,
+// in that order; of an image alone, the image) and at CheckFull the
+// om-verify/v1 verdict document.
 type CheckDoc struct {
 	Schema  string             `json:"schema"`
 	Level   string             `json:"level"`
@@ -98,6 +104,59 @@ func (d *CheckDoc) Err() error {
 	return nil
 }
 
+// Write serializes the document as indented JSON with a trailing newline.
+func (d *CheckDoc) Write(w io.Writer) error {
+	data, err := json.MarshalIndent(d, "", "\t")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(data, '\n'))
+	return err
+}
+
+// ReadCheckDoc parses a document written by Write. It rejects any other
+// schema, an unknown level, and a verdict document whose totals disagree
+// with its verdicts.
+func ReadCheckDoc(r io.Reader) (*CheckDoc, error) {
+	var d CheckDoc
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	if d.Schema != CheckSchema {
+		return nil, fmt.Errorf("check: schema %q, want %q", d.Schema, CheckSchema)
+	}
+	if _, err := ParseCheckLevel(d.Level); err != nil {
+		return nil, fmt.Errorf("check: %w", err)
+	}
+	if d.Verify != nil {
+		if err := d.Verify.Check(); err != nil {
+			return nil, err
+		}
+	}
+	return &d, nil
+}
+
+// CheckImage checks a linked image: the dataflow analysis of the image
+// and, given the decision journal of the run that produced it, translation
+// validation of the journal against it. The document is at CheckStatic
+// without a journal and at CheckFull with one. It errors only when an
+// input cannot be analyzed; findings and verdicts are judged by the
+// document's Err.
+func CheckImage(im *objfile.Image, j *obs.JournalDoc) (*CheckDoc, error) {
+	rep, err := dataflow.AnalyzeImage(im)
+	if err != nil {
+		return nil, fmt.Errorf("check image: %w", err)
+	}
+	d := &CheckDoc{Schema: CheckSchema, Level: CheckStatic.String(), Reports: []*dataflow.Report{rep}}
+	if j != nil {
+		d.Level = CheckFull.String()
+		if d.Verify, err = Translate(im, j); err != nil {
+			return nil, fmt.Errorf("check: %w", err)
+		}
+	}
+	return d, nil
+}
+
 // Checker runs a link's checks: Options arms om.Run for the level, and
 // Finish completes the document from the run's result. A Checker serves
 // one run.
@@ -127,9 +186,9 @@ func (c *Checker) Options() []om.Option {
 	return opts
 }
 
-// Finish analyzes the run's image and, at CheckFull, validates its journal.
-// It errors only when an input cannot be analyzed; findings and verdicts
-// are judged by the document's Err.
+// Finish completes the document with CheckImage: the run's image and, at
+// CheckFull, its journal. It errors only when an input cannot be analyzed;
+// findings and verdicts are judged by the document's Err.
 func (c *Checker) Finish(res *om.Result) (*CheckDoc, error) {
 	if c.Level == CheckOff {
 		return nil, nil
@@ -137,15 +196,14 @@ func (c *Checker) Finish(res *om.Result) (*CheckDoc, error) {
 	if len(c.reports) != 2 {
 		return nil, fmt.Errorf("check: %d program analyses ran, want lifted and optimized", len(c.reports))
 	}
-	img, err := dataflow.AnalyzeImage(res.Image)
-	if err != nil {
-		return nil, fmt.Errorf("check image: %w", err)
-	}
-	d := &CheckDoc{Schema: CheckSchema, Level: c.Level.String(), Reports: append(c.reports, img)}
+	var j *obs.JournalDoc
 	if c.Level == CheckFull {
-		if d.Verify, err = Translate(res.Image, res.Journal); err != nil {
-			return nil, fmt.Errorf("check: %w", err)
-		}
+		j = res.Journal // Options forced the journal
 	}
+	d, err := CheckImage(res.Image, j)
+	if err != nil {
+		return nil, err
+	}
+	d.Reports = append(c.reports, d.Reports...)
 	return d, nil
 }

@@ -3,21 +3,20 @@
 // execution of randomized programs across the option matrix, and the one
 // check level (off, static, full) every surface takes, with its one failure
 // rule. Structural checks on images belong to the dataflow analysis. Its
-// outputs are the om-verify/v1 verdict document, the counterpart to the
-// om-journal/v1 decision journal, and the om-check/v1 document of a checked
-// link.
+// one top-level output is the om-check/v1 document of a check, which embeds
+// the om-verify/v1 verdict document, the counterpart to the om-journal/v1
+// decision journal.
 package verify
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/obs"
 )
 
-// Schema identifies the verdict file format; bump on incompatible change so
-// downstream tooling can reject files it does not understand.
+// Schema identifies the verdict document embedded in an om-check/v1
+// document; bump on incompatible change so downstream tooling can reject
+// documents it does not understand.
 const Schema = "om-verify/v1"
 
 // Verdict is one verification result, covering Count journal events that
@@ -143,28 +142,4 @@ func (d *Doc) CrossCheck(j *obs.JournalDoc) error {
 		}
 	}
 	return nil
-}
-
-// Write serializes the document as indented JSON (the same style as the
-// decision journal).
-func Write(w io.Writer, d *Doc) error {
-	data, err := json.MarshalIndent(d, "", "\t")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// Read parses a document written by Write.
-func Read(r io.Reader) (*Doc, error) {
-	var d Doc
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	if d.Schema != Schema {
-		return nil, fmt.Errorf("verify: schema %q, want %q", d.Schema, Schema)
-	}
-	return &d, nil
 }

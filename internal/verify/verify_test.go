@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/link"
@@ -114,8 +115,9 @@ func TestVerdictCoverage(t *testing.T) {
 	}
 }
 
-// TestDocRoundTrip: Write/Read preserve the document and Read rejects
-// foreign schemas.
+// TestDocRoundTrip: CheckDoc's Write/ReadCheckDoc preserve the document,
+// and ReadCheckDoc rejects foreign schemas, unknown levels and a verdict
+// document whose totals disagree with its verdicts.
 func TestDocRoundTrip(t *testing.T) {
 	objs := fixtureObjects(t)
 	r, err := RunCell(context.Background(), objs, Cell{Level: om.LevelSimple}, nil)
@@ -123,21 +125,33 @@ func TestDocRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, r.Check.Verify); err != nil {
+	if err := r.Check.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	want := buf.String()
+	got, err := ReadCheckDoc(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Checked != r.Check.Verify.Checked || got.Failed != r.Check.Verify.Failed || len(got.Verdicts) != len(r.Check.Verify.Verdicts) {
-		t.Fatalf("round trip changed the document: %+v vs %+v", got, r.Check.Verify)
-	}
-	if err := got.Check(); err != nil {
+	var again bytes.Buffer
+	if err := got.Write(&again); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader([]byte(`{"schema":"om-journal/v1"}`))); err == nil {
-		t.Fatal("Read accepted a journal document as a verdict document")
+	if again.String() != want {
+		t.Fatalf("round trip changed the document:\n got %s\nwant %s", again.String(), want)
+	}
+	if got.Verify == nil || got.Verify.Checked != r.Check.Verify.Checked {
+		t.Fatalf("round trip lost the verdicts: %+v", got.Verify)
+	}
+	for _, bad := range []string{
+		`{"schema":"om-journal/v1"}`,
+		`{"schema":"om-verify/v1","checked":0,"failed":0,"reason_counts":null,"verdicts":null}`,
+		`{"schema":"om-check/v1","level":"lint","reports":[]}`,
+		`{"schema":"om-check/v1","level":"full","reports":[],"verify":{"schema":"om-verify/v1","checked":1,"failed":0,"reason_counts":null,"verdicts":[]}}`,
+	} {
+		if _, err := ReadCheckDoc(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadCheckDoc accepted %s", bad)
+		}
 	}
 }
 
