@@ -135,12 +135,17 @@ trace-smoke:
 	status=$$?; rm -rf $$dir; exit $$status
 
 # pgo-smoke closes the profile feedback loop on two call-heavy benchmarks:
-# instrument -> profile -> relink with layout -> verify identical output,
-# strict (any cycle regression fails), and the layout journal must account
-# for every procedure (omtrace -check).
+# profile the OM-full run -> relink with layout -> verify identical output,
+# strict (any cycle regression fails). The li and sc rows must equal the
+# archived ones in results/pgo.txt, so a change that moves F-PGO fails here
+# until the archive is regenerated, and the layout journal must account for
+# every procedure (omtrace -check).
 pgo-smoke:
 	@dir=$$(mktemp -d); \
-	$(GO) run ./cmd/omrepro -fig pgo -bench li,sc -pgostrict -trace $$dir && \
+	$(GO) run ./cmd/omrepro -fig pgo -bench li,sc -pgostrict -trace $$dir > $$dir/pgo.txt && \
+	cat $$dir/pgo.txt && \
+	grep -E '^(li|sc) ' results/pgo.txt > $$dir/want.txt && \
+	grep -E '^(li|sc) ' $$dir/pgo.txt | diff $$dir/want.txt - && \
 	$(GO) run ./cmd/omtrace -check $$dir/*.pgo.json; \
 	status=$$?; rm -rf $$dir; exit $$status
 
@@ -163,16 +168,19 @@ omd-smoke:
 # quick matrix, and each fuzz target runs 10 seconds from its
 # seeded corpus (the minimized crashers in testdata/fuzz also replay as
 # plain tests under `make test`). One -fuzz target per invocation — the
-# go tool accepts only one fuzzing pattern at a time.
+# go tool accepts only one fuzzing pattern at a time. -fuzzminimizetime
+# caps each minimization at 100 calls: at the default 60 s a worker that
+# finds a new multi-KB interesting input spends the rest of the 10 s
+# shrinking it, executing nothing new.
 verify-smoke:
 	$(GO) run ./cmd/omverify -matrix -bench li,compress
 	$(GO) run ./cmd/omverify -diff 200 -seed 1
-	$(GO) test -run '^$$' -fuzz '^FuzzObjfileRead$$' -fuzztime 10s ./internal/objfile
-	$(GO) test -run '^$$' -fuzz '^FuzzImageRead$$' -fuzztime 10s ./internal/objfile
-	$(GO) test -run '^$$' -fuzz '^FuzzLink$$' -fuzztime 10s ./internal/link
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalOptions$$' -fuzztime 10s ./internal/om
-	$(GO) test -run '^$$' -fuzz '^FuzzProfileRead$$' -fuzztime 10s ./internal/profile
-	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s ./internal/omd
+	$(GO) test -run '^$$' -fuzz '^FuzzObjfileRead$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/objfile
+	$(GO) test -run '^$$' -fuzz '^FuzzImageRead$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/objfile
+	$(GO) test -run '^$$' -fuzz '^FuzzLink$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/link
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalOptions$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/om
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileRead$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/profile
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/omd
 
 # verify is the tier-1 gate: everything CI runs.
 verify: build vet test race fmt-check lint lint-smoke bench-smoke linkbench-smoke trace-smoke pgo-smoke omd-smoke verify-smoke

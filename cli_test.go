@@ -168,7 +168,7 @@ func TestExamples(t *testing.T) {
 		{"quickstart", []string{"standard", "om-simple", "om-full", "speedup"}},
 		{"callopt", []string{"driver under standard link", "OM-full", "jsr"}},
 		{"gatshrink", []string{"GAT:", "OM-full statistics", "baseline output"}},
-		{"instrument", []string{"whole-program analysis", "dynamic profile", "eval"}},
+		{"profile", []string{"whole-program analysis", "dynamic profile", "eval"}},
 		{"sharedlib", []string{"fully static", "dynamically linked", "GP resets remain"}},
 	}
 	for _, ex := range examples {

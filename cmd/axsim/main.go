@@ -127,11 +127,7 @@ func printProfile(im *objfile.Image, res *sim.Result) {
 // document (procedure weights, entry counts, and the bsr call edges
 // decodable from the image) and writes it to the named file.
 func writeProfile(name string, im *objfile.Image, res *sim.Result) error {
-	blocks := make([]profile.PCBlock, len(res.BlockProfile))
-	for i, b := range res.BlockProfile {
-		blocks[i] = profile.PCBlock{PC: b.PC, Len: b.Len, Count: b.Count}
-	}
-	p, err := profile.FromImage(im, blocks)
+	p, err := profile.FromImage(im, res.BlockProfile)
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,8 @@
 // <trace>.check.json, also when the check refuses the image.
 //
 // -profile enables profile-guided procedure layout from an om-profile/v1
-// document (collected with axsim -profileout or om -instrument feedback);
-// the profile must match the program being linked — stale procedure names
-// fail the link.
+// document (collected with axsim -profileout); the profile must match the
+// program being linked — stale procedure names fail the link.
 package main
 
 import (

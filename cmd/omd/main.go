@@ -63,12 +63,6 @@ import (
 	"repro/internal/tcc"
 )
 
-type stderrLogger struct{}
-
-func (stderrLogger) Logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
-
 func main() {
 	addr := flag.String("addr", ":7333", "listen address")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrently executing jobs")
@@ -93,7 +87,6 @@ func main() {
 		CheckSample: *checkSample,
 	}
 	if *verbose || *loadSmoke {
-		cfg.Logger = stderrLogger{}
 		level := slog.LevelInfo
 		if *verbose {
 			level = slog.LevelDebug

@@ -1,6 +1,6 @@
 // Command omprof inspects and manipulates om-profile/v1 documents, the
 // profile format of the profile-guided-layout feedback loop (collected by
-// axsim -profileout or om's instrumentation, consumed by om -profile).
+// axsim -profileout, consumed by om -profile).
 //
 // With one profile it prints a summary: totals, the hottest procedures by
 // weight, and the heaviest call edges. -merge combines training runs into

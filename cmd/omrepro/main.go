@@ -20,8 +20,9 @@
 //	        [-j N] [-cache dir|off] [-trace dir] [-metrics] [-pgostrict] [-v]
 //
 // -fig pgo runs the profile-guided-layout feedback loop (F-PGO): each
-// benchmark is built instrumented, run to collect a call-edge profile, and
-// relinked with OM-full plus Pettis-Hansen procedure layout; the table
+// benchmark's OM-full baseline runs under the simulator's block profiler,
+// and the call-edge profile it yields relinks OM-full with Pettis-Hansen
+// procedure layout; the table
 // reports cycle and I-cache-miss deltas against the OM-full baseline under
 // a scaled-down I-cache. With -pgostrict the run fails if layout costs
 // cycles anywhere.

@@ -1,11 +1,11 @@
-// Instrument: uses OM's symbolic form as a link-time program-analysis and
-// instrumentation platform (the capability the paper points to with ATOM).
-// It lifts a whole linked program, reports its static structure (basic
-// blocks, address loads, call graph), then inserts a counting trap at every
-// basic block, runs the instrumented binary, and prints the hottest
-// procedures — pixie-style profiling without compiler support.
+// Profile: uses OM's symbolic form as a link-time program-analysis platform
+// and closes the profile feedback loop the paper points to with ATOM. It
+// lifts a whole linked program and reports its static structure (basic
+// blocks, address loads, call graph), then runs the OM-full image under the
+// simulator's block profiler, prints the hottest procedures, and relinks
+// with the profile driving procedure layout.
 //
-//	go run ./examples/instrument
+//	go run ./examples/profile
 package main
 
 import (
@@ -99,67 +99,51 @@ func main() {
 		}
 	}
 
-	// Now the dynamic side: instrument every basic block, run, and rank.
-	ires, err := om.Run(context.Background(), p, om.WithInstrumentation())
+	// Now the dynamic side: run the OM-full image with the simulator's
+	// block profiler on. Its calls are bsr, so each counted call block
+	// decodes to a call edge.
+	full, err := om.Run(context.Background(), p, om.WithLevel(om.LevelFull))
 	if err != nil {
 		log.Fatal(err)
 	}
-	im, blocks := ires.Image, ires.Blocks
-	res, err := sim.Run(im, sim.Config{MaxInstructions: 200_000_000})
+	res, err := sim.Run(full.Image, sim.Config{MaxInstructions: 200_000_000, Profile: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	perProc := map[string]uint64{}
-	for _, b := range blocks {
-		perProc[b.Proc] += res.Profile[b.ID]
+	prof, err := profile.FromImage(full.Image, res.BlockProfile)
+	if err != nil {
+		log.Fatal(err)
 	}
-	type hot struct {
-		name  string
-		count uint64
-	}
-	var hots []hot
-	for name, c := range perProc {
-		hots = append(hots, hot{name, c})
-	}
+	hots := append([]profile.ProcCount(nil), prof.Procs...)
 	sort.Slice(hots, func(i, j int) bool {
-		if hots[i].count != hots[j].count {
-			return hots[i].count > hots[j].count
+		if hots[i].Weight != hots[j].Weight {
+			return hots[i].Weight > hots[j].Weight
 		}
-		return hots[i].name < hots[j].name
+		return hots[i].Name < hots[j].Name
 	})
-	fmt.Printf("\ndynamic profile (%d blocks instrumented, program output %v):\n", len(blocks), res.Output)
-	fmt.Printf("%-18s %14s\n", "procedure", "block entries")
+	fmt.Printf("\ndynamic profile (%d blocks executed, program output %v):\n", len(res.BlockProfile), res.Output)
+	fmt.Printf("%-18s %14s %10s\n", "procedure", "block entries", "entries")
 	for i, h := range hots {
 		if i >= 8 {
 			break
 		}
-		fmt.Printf("%-18s %14d\n", h.name, h.count)
+		fmt.Printf("%-18s %14d %10d\n", h.Name, h.Weight, h.Entries)
 	}
 
-	// Close the feedback loop: the counts become an om-profile, and
-	// relinking with it lays the hot procedures out front (Pettis-Hansen
-	// chain merging), verified against the plain OM-full link.
-	prof := profile.FromTraps(om.TrapBlocks(blocks), res.Profile)
+	// Close the feedback loop: relinking with the profile lays the hot
+	// procedures out front (Pettis-Hansen chain merging), verified against
+	// the plain OM-full link.
 	fmt.Printf("\nprofile: %d procedures, %d call edges (hash %.12s)\n",
 		len(prof.Procs), len(prof.Edges), prof.Hash())
-	relink := func(opts ...om.Option) *sim.Result {
-		p, err := link.Merge(append(objs, lib...))
-		if err != nil {
-			log.Fatal(err)
-		}
-		omres, err := om.Run(context.Background(), p, opts...)
-		if err != nil {
-			log.Fatal(err)
-		}
-		r, err := sim.Run(omres.Image, sim.Config{MaxInstructions: 200_000_000})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r
+	laid, err := om.Run(context.Background(), p, om.WithLevel(om.LevelFull), om.WithProfile(prof))
+	if err != nil {
+		log.Fatal(err)
 	}
-	base := relink(om.WithLevel(om.LevelFull))
-	pgo := relink(om.WithLevel(om.LevelFull), om.WithProfile(prof))
-	if fmt.Sprint(base.Exit, base.Output) != fmt.Sprint(pgo.Exit, pgo.Output) {
+	pgo, err := sim.Run(laid.Image, sim.Config{MaxInstructions: 200_000_000})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if fmt.Sprint(res.Exit, res.Output) != fmt.Sprint(pgo.Exit, pgo.Output) {
 		log.Fatal("profile-guided layout changed program behavior")
 	}
 	fmt.Println("relinked with profile-guided layout: output identical to OM-full")

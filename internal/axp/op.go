@@ -135,13 +135,6 @@ const (
 	PalOutputChar = 0x0084
 	// PalCycles reads the cycle counter into v0 (modelled RPCC).
 	PalCycles = 0x0085
-	// PalProfileFlag marks a profiling trap inserted by link-time
-	// instrumentation (the ATOM-style use of OM's machinery): the low 25
-	// bits carry the basic-block id, and the simulator counts executions
-	// without touching any architectural state.
-	PalProfileFlag = 1 << 25
-	// PalProfileIDMask extracts the block id from a profiling trap.
-	PalProfileIDMask = PalProfileFlag - 1
 )
 
 type opInfo struct {

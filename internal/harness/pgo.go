@@ -62,11 +62,12 @@ func (row PGORow) IMissDelta() float64 {
 }
 
 // RunPGO runs the F-PGO feedback loop over the named benchmarks
-// (compile-each mode): build instrumented, run to collect a trap profile,
-// relink OM-full with profile-guided layout, and measure both the baseline
-// and the laid-out image under the scaled I-cache. Every stage verifies
-// program behavior against the instrumented run. Benchmarks fan out across
-// the runner's worker pool; rows come back in name order.
+// (compile-each mode): run the OM-full baseline under the scaled I-cache
+// with the simulator's engine profiler on, relink OM-full with
+// profile-guided layout from that profile, and measure the laid-out image
+// under the same cache. Both images must behave like the standard link.
+// Benchmarks fan out across the runner's worker pool; rows come back in
+// name order.
 func (r *Runner) RunPGO(ctx context.Context, names []string) ([]PGORow, error) {
 	benches, err := selectBenchmarks(names)
 	if err != nil {
@@ -102,35 +103,42 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 	}
 	all := append(append([]*objfile.Object(nil), objs...), lib...)
 
-	// One merged program serves the training, baseline and relink runs:
-	// om.Run never mutates its input.
+	// One merged program serves the reference, baseline and relink runs:
+	// neither the standard layout nor om.Run mutates its input.
 	p, err := link.Merge(all)
 	if err != nil {
 		return fail("merge", err)
 	}
 
-	// Training run: instrumented build, trap counts, call-edge profile.
-	ires, err := om.Run(ctx, p, om.WithInstrumentation())
+	// Reference: the standard link, whose behavior both cells must keep.
+	std, err := p.Layout()
 	if err != nil {
-		return fail("instrument", err)
+		return fail("reference", err)
 	}
-	irun, err := sim.RunContext(ctx, ires.Image, r.SimConfig)
+	rrun, err := sim.RunContext(ctx, std, r.SimConfig)
 	if err != nil {
-		return fail("train", err)
+		return fail("reference", err)
 	}
-	ref := fmt.Sprint(irun.Exit, irun.Output)
-	prof := profile.FromTraps(om.TrapBlocks(ires.Blocks), irun.Profile)
+	ref := fmt.Sprint(rrun.Exit, rrun.Output)
 
-	// Baseline: OM-full without layout, under the scaled I-cache.
+	// Baseline: OM-full without layout, under the scaled I-cache. The
+	// engine profiler counts its blocks without touching its timing, and
+	// its calls are bsr, so every call edge of the profile decodes.
 	cfg := r.SimConfig
 	cfg.ICacheBytes = PGOICacheBytes
 	bres, err := om.Run(ctx, p, om.WithLevel(om.LevelFull), om.WithMetrics(r.Metrics))
 	if err != nil {
 		return fail("baseline", err)
 	}
-	brun, err := sim.RunContext(ctx, bres.Image, cfg)
+	bcfg := cfg
+	bcfg.Profile = true
+	brun, err := sim.RunContext(ctx, bres.Image, bcfg)
 	if err != nil {
 		return fail("baseline", err)
+	}
+	prof, err := profile.FromImage(bres.Image, brun.BlockProfile)
+	if err != nil {
+		return fail("profile", err)
 	}
 
 	// PGO cell: relink with the profile, through the image cache. The cache
@@ -168,8 +176,8 @@ func (r *Runner) pgoBenchmark(ctx context.Context, b spec.Benchmark) (PGORow, er
 		return fail("pgo", err)
 	}
 
-	// The whole loop must be behavior-preserving: instrumented, baseline,
-	// and laid-out images agree on exit code and output trace.
+	// The whole loop must be behavior-preserving: the standard link, the
+	// baseline and the laid-out image agree on exit code and output trace.
 	if got := fmt.Sprint(brun.Exit, brun.Output); got != ref {
 		return fail("verify", fmt.Errorf("baseline output diverged: %s vs %s", got, ref))
 	}

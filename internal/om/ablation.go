@@ -3,7 +3,7 @@ package om
 // Ablation switches: each disables one component of OM-full so its
 // individual contribution can be measured (the ablation study DESIGN.md
 // calls for; see the harness Ablation table and BenchmarkAblation). The
-// JSON names are part of the om-options/v1 wire form and must stay stable.
+// JSON names are part of the om-options wire form and must stay stable.
 type Ablation struct {
 	// NoGATReduction keeps every original GAT slot.
 	NoGATReduction bool `json:"no_gat_reduction,omitempty"`

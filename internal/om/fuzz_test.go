@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalOptions: the om-options/v1 parser must never panic, and
+// FuzzUnmarshalOptions: the om-options parser must never panic, and
 // anything it accepts must round-trip through the canonical form exactly
 // (the coalescing key in omd depends on that bijection).
 func FuzzUnmarshalOptions(f *testing.F) {
@@ -20,7 +20,8 @@ func FuzzUnmarshalOptions(f *testing.F) {
 	seed(WithLevel(LevelNone))
 	seed(WithLevel(LevelSimple), WithTrace())
 	seed(WithSchedule(true), WithAblation(Ablation{NoGATReduction: true}))
-	f.Add([]byte(`{"version":"om-options/v1"}`))
+	f.Add([]byte(`{"version":"om-options/v2"}`))
+	f.Add([]byte(`{"version":"om-options/v1","level":"full","schedule":false,"instrument":true,"trace":false}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts, err := UnmarshalOptions(data)

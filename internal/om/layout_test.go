@@ -11,21 +11,32 @@ import (
 	"repro/internal/sim"
 )
 
-// collectProfile runs the instrumented build of the program and converts
-// the trap counts into an om-profile.
+// engineProfile runs the image under the simulator's engine profiler and
+// attributes the block counts to the image's procedures.
+func engineProfile(t *testing.T, im *objfile.Image) *profile.Profile {
+	t.Helper()
+	res, err := sim.Run(im, sim.Config{MaxInstructions: 100_000_000, Profile: true})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	p, err := profile.FromImage(im, res.BlockProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// collectProfile profiles the OM-full build of the program, whose calls
+// are bsr, so every call edge decodes.
 func collectProfile(t *testing.T) *profile.Profile {
 	t.Helper()
-	res, err := Run(context.Background(), freshProgram(t), WithInstrumentation())
+	res, err := Run(context.Background(), freshProgram(t), WithLevel(LevelFull))
 	if err != nil {
-		t.Fatalf("instrument: %v", err)
+		t.Fatal(err)
 	}
-	simres := run(t, res.Image)
-	if len(simres.Profile) == 0 {
-		t.Fatal("instrumented run produced no trap counts")
-	}
-	p := profile.FromTraps(TrapBlocks(res.Blocks), simres.Profile)
+	p := engineProfile(t, res.Image)
 	if len(p.Edges) == 0 {
-		t.Fatal("trap profile has no call edges; layout would be vacuous")
+		t.Fatal("engine profile has no call edges; layout would be vacuous")
 	}
 	return p
 }
@@ -247,50 +258,69 @@ func TestLayoutAtEveryLevel(t *testing.T) {
 	}
 }
 
-// TestProfileFromEngine: the engine-profiler source (FromImage) builds an
-// equivalent pipeline input — procedures attribute, entries count, and on
-// an OM-full image (calls converted to bsr) edges decode.
-func TestProfileFromEngine(t *testing.T) {
-	res, err := Run(context.Background(), freshProgram(t), WithLevel(LevelFull))
+// TestInstrumentation: at every level a run under the engine profiler
+// prints what the unoptimized program prints, and the profile counts
+// procedure entries exactly — main and __start once, the qsort comparator
+// and the recursive qsort8 many times, and the static prog$scale3 50 times
+// although its callers bsr to its local entry past the GP-setup pair.
+func TestInstrumentation(t *testing.T) {
+	baseIm, err := freshProgram(t).Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	simres, err := sim.Run(res.Image, sim.Config{MaxInstructions: 100_000_000, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := make([]profile.PCBlock, len(simres.BlockProfile))
-	for i, b := range simres.BlockProfile {
-		blocks[i] = profile.PCBlock{PC: b.PC, Len: b.Len, Count: b.Count}
-	}
-	p, err := profile.FromImage(res.Image, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Source != "engine" {
-		t.Errorf("source %q", p.Source)
-	}
-	if len(p.Procs) == 0 || len(p.Edges) == 0 {
-		t.Fatalf("engine profile is empty: %d procs, %d edges", len(p.Procs), len(p.Edges))
-	}
-	var mainEntries uint64
-	for _, pc := range p.Procs {
-		if pc.Name == "main" {
-			mainEntries = pc.Entries
+	want := run(t, baseIm)
+	for _, lvl := range []Level{LevelNone, LevelSimple, LevelFull} {
+		res, err := Run(context.Background(), freshProgram(t), WithLevel(lvl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run(res.Image, sim.Config{MaxInstructions: 100_000_000, Profile: true})
+		if err != nil {
+			t.Fatalf("%s: run: %v", lvl, err)
+		}
+		if got.Exit != want.Exit || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
+			t.Fatalf("%s: profiled output %v exit %d, want %v exit %d",
+				lvl, got.Output, got.Exit, want.Output, want.Exit)
+		}
+		p, err := profile.FromImage(res.Image, got.BlockProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Source != "engine" {
+			t.Errorf("%s: source %q", lvl, p.Source)
+		}
+		entries := make(map[string]uint64)
+		for _, pc := range p.Procs {
+			entries[pc.Name] = pc.Entries
+		}
+		for proc, n := range map[string]uint64{"main": 1, "__start": 1, "prog$scale3": 50} {
+			if entries[proc] != n {
+				t.Errorf("%s: %s entries = %d, want %d", lvl, proc, entries[proc], n)
+			}
+		}
+		for proc, least := range map[string]uint64{"up": 100, "qsort8": 10} {
+			if entries[proc] < least {
+				t.Errorf("%s: %s entries = %d, want >= %d", lvl, proc, entries[proc], least)
+			}
 		}
 	}
-	if mainEntries != 1 {
-		t.Errorf("main entries = %d, want 1", mainEntries)
-	}
+}
 
-	// The engine profile drives the same layout pipeline.
-	res2, err := Run(context.Background(), freshProgram(t),
-		WithLevel(LevelFull), WithProfile(p))
+// TestProfileFromEngine: the engine profile of the OM-full image carries
+// call edges, and they drive the layout pipeline without changing
+// behavior.
+func TestProfileFromEngine(t *testing.T) {
+	prof := collectProfile(t)
+	base, err := Run(context.Background(), freshProgram(t), WithLevel(LevelFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	laid, err := Run(context.Background(), freshProgram(t), WithLevel(LevelFull), WithProfile(prof))
 	if err != nil {
 		t.Fatalf("om-full+engine-profile: %v", err)
 	}
-	want := run(t, res.Image)
-	got := run(t, res2.Image)
+	want := run(t, base.Image)
+	got := run(t, laid.Image)
 	if got.Exit != want.Exit || fmt.Sprint(got.Output) != fmt.Sprint(want.Output) {
 		t.Error("engine-profile layout changed behavior")
 	}

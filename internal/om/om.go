@@ -11,15 +11,14 @@ import (
 
 // config is the resolved option set of one Run.
 type config struct {
-	level      Level
-	schedule   bool
-	ablation   Ablation
-	instrument bool
-	trace      bool
-	metrics    *obs.Registry
-	profile    *profile.Profile
-	span       *obs.Span
-	observer   func(ProgStage, *Prog, *Plan) error
+	level    Level
+	schedule bool
+	ablation Ablation
+	trace    bool
+	metrics  *obs.Registry
+	profile  *profile.Profile
+	span     *obs.Span
+	observer func(ProgStage, *Prog, *Plan) error
 }
 
 // Option configures a Run.
@@ -41,15 +40,9 @@ func WithAblation(ab Ablation) Option {
 	}
 }
 
-// WithInstrumentation inserts a profiling trap at the entry of every basic
-// block and regenerates an unoptimized image (a pixie/ATOM-style build).
-// The optimization level and ablation settings are ignored; the block table
-// is returned in Result.Blocks.
-func WithInstrumentation() Option { return func(c *config) { c.instrument = true } }
-
 // WithTrace collects the decision journal: one event per address load,
 // call site, and GP-reset pair, explaining its final disposition with a
-// stable reason code (Result.Journal). Ignored for instrumentation runs.
+// stable reason code (Result.Journal).
 func WithTrace() Option { return func(c *config) { c.trace = true } }
 
 // WithMetrics records per-phase wall time (om/lift, om/passes, om/layout,
@@ -74,8 +67,7 @@ func WithSpan(sp *obs.Span) Option { return func(c *config) { c.span = sp } }
 // call's branch range is re-verified against the new order — a conversion
 // whose callee lands beyond the bsr window reverts to its original
 // GAT-indirect jsr. The profile is validated against the lifted program's
-// procedure names; a stale profile fails the Run. A nil profile is a no-op,
-// and instrumentation runs ignore the option.
+// procedure names; a stale profile fails the Run. A nil profile is a no-op.
 func WithProfile(p *profile.Profile) Option { return func(c *config) { c.profile = p } }
 
 // ProgStage identifies the pipeline point a WithProgObserver callback sees.
@@ -94,7 +86,6 @@ const (
 // a fresh unoptimized plan) and again at StageOptimized (under the final
 // plan) — the two snapshots the static check level analyzes. The observer
 // must treat the program and plan as read-only; an error aborts the Run.
-// Instrumentation runs ignore the option.
 func WithProgObserver(fn func(ProgStage, *Prog, *Plan) error) Option {
 	return func(c *config) { c.observer = fn }
 }
@@ -103,11 +94,8 @@ func WithProgObserver(fn func(ProgStage, *Prog, *Plan) error) Option {
 type Result struct {
 	// Image is the regenerated executable.
 	Image *objfile.Image
-	// Stats covers the paper's static measurements (nil for an
-	// instrumentation run).
+	// Stats covers the paper's static measurements.
 	Stats *Stats
-	// Blocks maps profile ids to basic blocks (instrumentation runs only).
-	Blocks []BlockInfo
 	// Journal is the decision journal (WithTrace runs only).
 	Journal *obs.JournalDoc
 }
@@ -132,23 +120,6 @@ func Run(ctx context.Context, p *link.Program, opts ...Option) (*Result, error) 
 	}
 	cfg.metrics.Counter("om/decode/modules").Add(uint64(len(p.Objects)))
 	cfg.metrics.Counter("om/lift/procs").Add(uint64(len(pg.Procs)))
-
-	if cfg.instrument {
-		blocks, err := Instrument(pg)
-		if err != nil {
-			return nil, err
-		}
-		pl, err := computePlan(pg, planOpts{})
-		if err != nil {
-			return nil, err
-		}
-		pg.renumber()
-		im, err := Emit(pg, pl, false)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Image: im, Blocks: blocks}, nil
-	}
 
 	// Lift counted the before-statistics. OM-full's plans reduce the GAT,
 	// so its unreduced size takes an assignment of its own; the other

@@ -514,58 +514,3 @@ func TestAblatedStillCorrect(t *testing.T) {
 		}
 	}
 }
-
-func TestInstrumentation(t *testing.T) {
-	// An instrumented program must produce identical output, and the block
-	// counts must be consistent with execution.
-	baseIm, err := freshProgram(t).Layout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(t, baseIm)
-
-	ires, err := Run(context.Background(), freshProgram(t), WithInstrumentation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, blocks := ires.Image, ires.Blocks
-	if len(blocks) < 50 {
-		t.Fatalf("only %d blocks instrumented", len(blocks))
-	}
-	res, err := sim.Run(im, sim.Config{MaxInstructions: 100_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(res.Output) != fmt.Sprint(want.Output) || res.Exit != want.Exit {
-		t.Fatalf("instrumented output %v exit %d, want %v exit %d",
-			res.Output, res.Exit, want.Output, want.Exit)
-	}
-	if res.Profile == nil {
-		t.Fatal("no profile collected")
-	}
-	// Per-procedure entry blocks: main executes exactly once; __start once;
-	// the qsort comparator many times.
-	byProcEntry := map[string]uint64{}
-	for _, b := range blocks {
-		if b.Index == 0 {
-			byProcEntry[b.Proc] = res.Profile[b.ID]
-		}
-	}
-	if byProcEntry["main"] != 1 {
-		t.Errorf("main entry count = %d, want 1", byProcEntry["main"])
-	}
-	if byProcEntry["__start"] != 1 {
-		t.Errorf("__start entry count = %d, want 1", byProcEntry["__start"])
-	}
-	if byProcEntry["up"] < 100 {
-		t.Errorf("comparator entry count = %d, want many", byProcEntry["up"])
-	}
-	if byProcEntry["qsort8"] < 10 {
-		t.Errorf("qsort8 entry count = %d, want recursive many", byProcEntry["qsort8"])
-	}
-	// Static helper called through a bsr to its local entry must still be
-	// counted (the trap sits after the pinned GP pair).
-	if byProcEntry["prog$scale3"] != 50 {
-		t.Errorf("scale3 entry count = %d, want 50", byProcEntry["prog$scale3"])
-	}
-}

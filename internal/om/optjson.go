@@ -9,7 +9,7 @@ import (
 // OptionsVersion tags the canonical serialized form of a resolved option
 // set. Bump it only on an incompatible schema change; readers reject any
 // other version string.
-const OptionsVersion = "om-options/v1"
+const OptionsVersion = "om-options/v2"
 
 // configJSON is the wire form of config. The field set and order are part
 // of the format: the golden test pins the exact bytes, so any drift between
@@ -18,12 +18,11 @@ const OptionsVersion = "om-options/v1"
 // are attached at run time (profiles travel as their own om-profile/v1
 // document).
 type configJSON struct {
-	Version    string    `json:"version"`
-	Level      string    `json:"level"`
-	Schedule   bool      `json:"schedule"`
-	Ablation   *Ablation `json:"ablation,omitempty"`
-	Instrument bool      `json:"instrument"`
-	Trace      bool      `json:"trace"`
+	Version  string    `json:"version"`
+	Level    string    `json:"level"`
+	Schedule bool      `json:"schedule"`
+	Ablation *Ablation `json:"ablation,omitempty"`
+	Trace    bool      `json:"trace"`
 }
 
 // ParseLevel parses the wire name of an optimization level: "none",
@@ -67,11 +66,10 @@ func (c *config) MarshalJSON() ([]byte, error) {
 		return nil, err
 	}
 	w := configJSON{
-		Version:    OptionsVersion,
-		Level:      lvl,
-		Schedule:   c.schedule,
-		Instrument: c.instrument,
-		Trace:      c.trace,
+		Version:  OptionsVersion,
+		Level:    lvl,
+		Schedule: c.schedule,
+		Trace:    c.trace,
 	}
 	if c.ablation != (Ablation{}) {
 		ab := c.ablation
@@ -82,16 +80,24 @@ func (c *config) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON parses the canonical form back into a resolved config. It
 // is strict: unknown fields and unknown versions are errors, and an
-// ablation is only valid at level full (WithAblation implies it).
+// ablation is only valid at level full (WithAblation implies it). The
+// version is checked before the fields, so a document of another version
+// fails naming this one instead of tripping over a field it dropped.
 func (c *config) UnmarshalJSON(data []byte) error {
+	var head struct {
+		Version string `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("om: options: %w", err)
+	}
+	if head.Version != OptionsVersion {
+		return fmt.Errorf("om: options version %q, want %q", head.Version, OptionsVersion)
+	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var w configJSON
 	if err := dec.Decode(&w); err != nil {
 		return fmt.Errorf("om: options: %w", err)
-	}
-	if w.Version != OptionsVersion {
-		return fmt.Errorf("om: options version %q, want %q", w.Version, OptionsVersion)
 	}
 	lvl, err := ParseLevel(w.Level)
 	if err != nil {
@@ -102,7 +108,6 @@ func (c *config) UnmarshalJSON(data []byte) error {
 	}
 	c.level = lvl
 	c.schedule = w.Schedule
-	c.instrument = w.Instrument
 	c.trace = w.Trace
 	c.ablation = Ablation{}
 	if w.Ablation != nil {
@@ -136,9 +141,6 @@ func UnmarshalOptions(data []byte) ([]Option, error) {
 	opts := []Option{WithLevel(cfg.level), WithSchedule(cfg.schedule)}
 	if cfg.ablation != (Ablation{}) {
 		opts = append(opts, WithAblation(cfg.ablation))
-	}
-	if cfg.instrument {
-		opts = append(opts, WithInstrumentation())
 	}
 	if cfg.trace {
 		opts = append(opts, WithTrace())

@@ -3,6 +3,7 @@ package om
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestOptionsGoldenJSON pins the canonical serialized form of the resolved
-// option set byte for byte. If this test fails, the om-options/v1 wire
+// option set byte for byte. If this test fails, the om-options/v2 wire
 // format changed: either revert the drift or bump OptionsVersion and update
 // every producer (omd.JobSpec in particular).
 func TestOptionsGoldenJSON(t *testing.T) {
@@ -22,27 +23,22 @@ func TestOptionsGoldenJSON(t *testing.T) {
 		{
 			name: "defaults",
 			opts: nil,
-			want: `{"version":"om-options/v1","level":"full","schedule":false,"instrument":false,"trace":false}`,
+			want: `{"version":"om-options/v2","level":"full","schedule":false,"trace":false}`,
 		},
 		{
 			name: "simple",
 			opts: []Option{WithLevel(LevelSimple)},
-			want: `{"version":"om-options/v1","level":"simple","schedule":false,"instrument":false,"trace":false}`,
+			want: `{"version":"om-options/v2","level":"simple","schedule":false,"trace":false}`,
 		},
 		{
 			name: "full+sched+trace",
 			opts: []Option{WithLevel(LevelFull), WithSchedule(true), WithTrace()},
-			want: `{"version":"om-options/v1","level":"full","schedule":true,"instrument":false,"trace":true}`,
+			want: `{"version":"om-options/v2","level":"full","schedule":true,"trace":true}`,
 		},
 		{
 			name: "ablated",
 			opts: []Option{WithAblation(Ablation{NoCallOpt: true, NoGATReduction: true})},
-			want: `{"version":"om-options/v1","level":"full","schedule":false,"ablation":{"no_gat_reduction":true,"no_call_opt":true},"instrument":false,"trace":false}`,
-		},
-		{
-			name: "instrumented",
-			opts: []Option{WithInstrumentation()},
-			want: `{"version":"om-options/v1","level":"full","schedule":false,"instrument":true,"trace":false}`,
+			want: `{"version":"om-options/v2","level":"full","schedule":false,"ablation":{"no_gat_reduction":true,"no_call_opt":true},"trace":false}`,
 		},
 	}
 	for _, tc := range cases {
@@ -59,8 +55,8 @@ func TestOptionsGoldenJSON(t *testing.T) {
 }
 
 // TestOptionsRoundTrip checks Marshal∘Unmarshal is the identity on the
-// canonical form for every level/schedule/ablation/instrument/trace
-// combination the API can express.
+// canonical form for every level/schedule/ablation/trace combination the
+// API can express.
 func TestOptionsRoundTrip(t *testing.T) {
 	var optSets [][]Option
 	for _, lvl := range []Level{LevelNone, LevelSimple, LevelFull} {
@@ -78,7 +74,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	for _, ab := range Ablations() {
 		optSets = append(optSets, []Option{WithAblation(ab), WithSchedule(true)})
 	}
-	optSets = append(optSets, []Option{WithInstrumentation()})
 
 	for _, opts := range optSets {
 		data, err := MarshalOptions(opts...)
@@ -114,15 +109,22 @@ func TestOptionsRejectUnserializable(t *testing.T) {
 // unknown fields, unknown levels, and ablations below level full.
 func TestOptionsUnmarshalStrict(t *testing.T) {
 	bad := []string{
-		`{"version":"om-options/v0","level":"full","schedule":false,"instrument":false,"trace":false}`,
-		`{"version":"om-options/v1","level":"max","schedule":false,"instrument":false,"trace":false}`,
-		`{"version":"om-options/v1","level":"full","schedule":false,"instrument":false,"trace":false,"extra":1}`,
-		`{"version":"om-options/v1","level":"simple","schedule":false,"ablation":{"no_call_opt":true},"instrument":false,"trace":false}`,
+		`{"version":"om-options/v0","level":"full","schedule":false,"trace":false}`,
+		`{"version":"om-options/v2","level":"max","schedule":false,"trace":false}`,
+		`{"version":"om-options/v2","level":"full","schedule":false,"trace":false,"extra":1}`,
+		`{"version":"om-options/v2","level":"simple","schedule":false,"ablation":{"no_call_opt":true},"trace":false}`,
 	}
 	for _, doc := range bad {
 		if _, err := UnmarshalOptions([]byte(doc)); err == nil {
 			t.Errorf("accepted invalid document: %s", doc)
 		}
+	}
+
+	// A v1 document fails on its version, naming v2, before its dropped
+	// instrument field can trip the unknown-field check.
+	v1 := `{"version":"om-options/v1","level":"full","schedule":false,"instrument":false,"trace":false}`
+	if _, err := UnmarshalOptions([]byte(v1)); err == nil || !strings.Contains(err.Error(), OptionsVersion) {
+		t.Errorf("v1 document: err %v, want one naming %s", err, OptionsVersion)
 	}
 }
 

@@ -29,11 +29,6 @@ import (
 	"repro/internal/verify"
 )
 
-// Logger receives the server's progress output.
-type Logger interface {
-	Logf(format string, args ...any)
-}
-
 // Config sizes the service.
 type Config struct {
 	// Workers bounds concurrently executing jobs. <= 0 selects GOMAXPROCS.
@@ -59,8 +54,6 @@ type Config struct {
 	// histograms; nil creates a private registry (it still backs
 	// /metrics).
 	Metrics *obs.Registry
-	// Logger receives progress lines; nil discards them.
-	Logger Logger
 	// SlowJob, when > 0, logs the full span tree of any job whose total
 	// latency (admission to finish) reaches it, at Warn level on Slog.
 	SlowJob time.Duration
@@ -156,7 +149,6 @@ type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	cache   *buildcache.Cache
-	log     Logger
 	slog    *slog.Logger
 	now     func() time.Time
 	started time.Time
@@ -220,7 +212,6 @@ func NewServer(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        reg,
 		cache:      cfg.Cache,
-		log:        cfg.Logger,
 		slog:       lg,
 		now:        now,
 		started:    now(),
@@ -237,12 +228,6 @@ func NewServer(cfg Config) *Server {
 		go s.worker()
 	}
 	return s
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.log != nil {
-		s.log.Logf(format, args...)
-	}
 }
 
 // libObjects compiles the runtime library at most once per server, through
@@ -478,11 +463,6 @@ func (s *Server) runFlight(f *flight) {
 	}
 	f.res, f.err = res, err
 	close(f.done)
-	if err != nil {
-		s.logf("omd: job %s failed: %v", f.key[:12], err)
-	} else {
-		s.logf("omd: job %s done (%d bytes, %d waiters)", f.key[:12], len(res.image), len(f.jobs))
-	}
 }
 
 // executeRecovered runs one execution and turns a panic in it into the
@@ -783,7 +763,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	if first {
-		s.logf("omd: draining (%d queued)", len(s.queue))
+		s.slog.Info("omd draining", "queued", len(s.queue))
 	}
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()

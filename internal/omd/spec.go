@@ -7,7 +7,7 @@
 //
 // A job is an omd-job/v3 document (JobSpec): the program to link (a named
 // benchmark of the suite, or uploaded object modules), the resolved OM
-// option set in its canonical om-options/v1 form, an optional om-profile/v1
+// option set in its canonical om-options/v2 form, an optional om-profile/v1
 // document for profile-guided layout, the check level the link must pass,
 // and an optional simulation of the linked image. Uploaded modules do not
 // travel inside the document: POST /jobs is a multipart/form-data body whose
@@ -67,7 +67,7 @@ type JobSpec struct {
 	// NoStdlib skips linking the runtime library (uploaded objects that
 	// already include it).
 	NoStdlib bool `json:"no_stdlib,omitempty"`
-	// Options is the OM option set in canonical om-options/v1 form
+	// Options is the OM option set in canonical om-options/v2 form
 	// (om.MarshalOptions); nil selects the defaults (OM-full).
 	Options json.RawMessage `json:"options,omitempty"`
 	// Profile is an optional om-profile/v1 document driving
@@ -179,12 +179,12 @@ func (js *JobSpec) resolve() (*resolved, error) {
 
 // optionSet is a job's decoded option list with its canonical form.
 type optionSet struct {
-	canonOpt []byte      // canonical om-options/v1 bytes
+	canonOpt []byte      // canonical om-options/v2 bytes
 	opts     []om.Option // decoded option list (level/sched/ablation/trace/…)
 	traced   bool        // options request a decision journal
 }
 
-// parseOptions decodes an om-options/v1 document and re-marshals it, so the
+// parseOptions decodes an om-options/v2 document and re-marshals it, so the
 // key sees one canonical byte form regardless of the client's whitespace or
 // field order.
 func parseOptions(doc []byte) (optionSet, error) {

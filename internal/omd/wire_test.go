@@ -114,8 +114,10 @@ func twoModules(t *testing.T) ([][]byte, []byte) {
 // TestSubmitWireFormat: a job's objects travel as raw multipart parts. A
 // curl-style upload serves the image of a local link of the same modules,
 // and the typed client's upload of them is the same job; a benchmark job
-// still runs from a bare JSON body; and a v2 document, whose objects were
-// base64 inside it, gets a 400 naming v3 whatever the order of its fields.
+// still runs from a bare JSON body; a v2 document, whose objects were
+// base64 inside it, gets a 400 naming v3 whatever the order of its fields;
+// and options in the retired om-options/v1 form get a 400 naming the
+// current form.
 func TestSubmitWireFormat(t *testing.T) {
 	s := newTestServer(t, omd.Config{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())
@@ -168,6 +170,13 @@ func TestSubmitWireFormat(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(msg, omd.SpecVersion) {
 			t.Errorf("v2 document %s as a spec part: %d %q, want 400 naming %s", doc, code, msg, omd.SpecVersion)
 		}
+	}
+
+	v1opts := `{"version":"` + omd.SpecVersion + `","benchmark":"li","options":` +
+		`{"version":"om-options/v1","level":"full","schedule":false,"instrument":false,"trace":false}}`
+	code, _, msg = post(t, ts.URL, "application/json", strings.NewReader(v1opts))
+	if code != http.StatusBadRequest || !strings.Contains(msg, om.OptionsVersion) {
+		t.Errorf("om-options/v1 job: %d %q, want 400 naming %s", code, msg, om.OptionsVersion)
 	}
 }
 

@@ -2,10 +2,9 @@
 // profiles collected by the simulator and consumed by OM's profile-guided
 // layout pass. A profile records per-procedure entry counts, per-block
 // execution counts, and call-edge weights derived from call-site block
-// counts. Profiles from either collection mode — instrumentation traps
-// (sim.Result.Profile plus OM's block table) or the engine profiler
-// (sim.Result.BlockProfile plus the image symbol table) — normalize to the
-// same format, so every downstream consumer is source-agnostic.
+// counts. The simulator's engine profiler (sim.Result.BlockProfile) is the
+// collector; FromImage attributes its block counts to the symbols of the
+// image it ran.
 package profile
 
 import (
@@ -29,9 +28,8 @@ const Schema = "om-profile/v1"
 // callee), so equal profiles serialize identically and Hash is well-defined.
 type Profile struct {
 	SchemaV string `json:"schema"`
-	// Source records how the counts were collected: "trap" (instrumentation
-	// traps), "engine" (the simulator's block profiler), "merge", or
-	// "synthetic" (tests).
+	// Source records how the counts were collected: "engine" (the
+	// simulator's block profiler), "merge", or "synthetic" (tests).
 	Source string `json:"source,omitempty"`
 	// Procs holds per-procedure counts (every procedure with a nonzero
 	// entry or block count).
@@ -53,9 +51,8 @@ type ProcCount struct {
 }
 
 // BlockCount is one basic block's execution count. Index is the block's
-// ordinal within its procedure (trap profiles) or the block's byte offset
-// from the procedure entry divided by 4 (engine profiles): a stable,
-// source-local identifier, not comparable across sources.
+// byte offset from the procedure entry divided by 4: its instruction
+// offset in the image that was profiled.
 type BlockCount struct {
 	Proc  string `json:"proc"`
 	Index int    `json:"index"`
@@ -238,53 +235,9 @@ func (p *Profile) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TrapBlock names one instrumented basic block: the shape of OM's block
-// table (om.BlockInfo), declared here so the profile package does not
-// depend on the optimizer it feeds.
-type TrapBlock struct {
-	// Proc is the enclosing procedure and Index the block's ordinal in it.
-	Proc  string
-	Index int
-	// Calls names the procedures directly called from this block (known
-	// direct or GAT-indirect call targets; unresolvable indirect calls are
-	// absent).
-	Calls []string
-}
-
-// FromTraps builds a profile from an instrumentation run: the block table
-// OM returned for the instrumented image and the trap counts the simulator
-// collected (sim.Result.Profile, keyed by block id = table index).
-func FromTraps(blocks []TrapBlock, counts map[uint32]uint64) *Profile {
-	p := New("trap")
-	entries := make(map[string]uint64)
-	weight := make(map[string]uint64)
-	for id, b := range blocks {
-		n := counts[uint32(id)]
-		weight[b.Proc] += n
-		if b.Index == 0 {
-			entries[b.Proc] += n
-		}
-		if n == 0 {
-			continue
-		}
-		p.Blocks = append(p.Blocks, BlockCount{Proc: b.Proc, Index: b.Index, Count: n})
-		for _, callee := range b.Calls {
-			p.Edges = append(p.Edges, Edge{Caller: b.Proc, Callee: callee, Weight: n})
-		}
-	}
-	for name, w := range weight {
-		if w == 0 && entries[name] == 0 {
-			continue
-		}
-		p.Procs = append(p.Procs, ProcCount{Name: name, Entries: entries[name], Weight: w})
-	}
-	p.normalize()
-	return p
-}
-
 // PCBlock is one engine-profiler record: a basic-block entry PC, the
-// block's instruction count, and its execution count. It mirrors
-// sim.BlockCount without importing the simulator.
+// block's instruction count, and its execution count. The simulator
+// reports its block profile in this type (sim.BlockCount).
 type PCBlock struct {
 	PC    uint64
 	Len   int

@@ -8,7 +8,7 @@ import (
 )
 
 func sample() *Profile {
-	p := New("trap")
+	p := New("synthetic")
 	p.Procs = []ProcCount{
 		{Name: "main", Entries: 1, Weight: 10},
 		{Name: "f", Entries: 5, Weight: 50},
@@ -105,38 +105,5 @@ func TestHash(t *testing.T) {
 	c.Blocks[1].Count++
 	if a.Hash() == c.Hash() {
 		t.Fatal("hash ignores a count change")
-	}
-}
-
-// TestFromTraps: block counts aggregate to procedure weights, index-0
-// blocks count entries, and call lists become weighted edges; untouched
-// procedures are omitted.
-func TestFromTraps(t *testing.T) {
-	blocks := []TrapBlock{
-		{Proc: "main", Index: 0, Calls: []string{"f"}},
-		{Proc: "main", Index: 1},
-		{Proc: "f", Index: 0},
-		{Proc: "dead", Index: 0},
-	}
-	counts := map[uint32]uint64{0: 1, 1: 7, 2: 5}
-	p := FromTraps(blocks, counts)
-	if p.Source != "trap" {
-		t.Errorf("source %q", p.Source)
-	}
-	wantProcs := []ProcCount{
-		{Name: "f", Entries: 5, Weight: 5},
-		{Name: "main", Entries: 1, Weight: 8},
-	}
-	if !reflect.DeepEqual(p.Procs, wantProcs) {
-		t.Errorf("procs = %+v, want %+v", p.Procs, wantProcs)
-	}
-	wantEdges := []Edge{{Caller: "main", Callee: "f", Weight: 1}}
-	if !reflect.DeepEqual(p.Edges, wantEdges) {
-		t.Errorf("edges = %+v, want %+v", p.Edges, wantEdges)
-	}
-	for _, b := range p.Blocks {
-		if b.Proc == "dead" {
-			t.Errorf("unexecuted block kept: %+v", b)
-		}
 	}
 }

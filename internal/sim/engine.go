@@ -403,13 +403,6 @@ func (m *Machine) execUop(u *uop) (taken bool, memAddr uint64, isMem bool, err e
 		m.F[u.fc] = math.Float64frombits(a&(1<<63) | b&^(1<<63))
 
 	case axp.CALLPAL:
-		if u.palFn&axp.PalProfileFlag != 0 {
-			if m.profile == nil {
-				m.profile = make(map[uint32]uint64)
-			}
-			m.profile[uint32(u.palFn&axp.PalProfileIDMask)]++
-			break
-		}
 		switch u.palFn {
 		case axp.PalHalt:
 			m.halted = true

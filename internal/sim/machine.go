@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/axp"
 	"repro/internal/objfile"
+	"repro/internal/profile"
 )
 
 // Config controls the simulation.
@@ -82,19 +83,12 @@ type Result struct {
 	Output   []int64
 	OutBytes []byte
 	Stats    Stats
-	// Profile holds per-block execution counts when the program was
-	// instrumented with profiling traps (om.Instrument; nil otherwise),
-	// keyed by the trap's block id. This is the pixie-style source: the
-	// binary carries the counters, and profile.FromTraps turns the counts
-	// plus the instrumenter's block table into an om-profile.
-	Profile map[uint32]uint64
 	// BlockProfile holds per-block execution counts from the engine's
 	// profiling mode (Config.Profile), sorted by descending count with
 	// equal counts in ascending-PC order. Each entry is one basic-block
-	// entry point actually executed. This is the engine-side source: any
-	// unmodified image can be profiled, and profile.FromImage attributes
-	// the counts to procedure symbols. Either source feeds the
-	// profile-guided layout pipeline (om.WithProfile).
+	// entry point actually executed. Any unmodified image can be
+	// profiled; profile.FromImage attributes the counts to procedure
+	// symbols for the profile-guided layout pipeline (om.WithProfile).
 	BlockProfile []BlockCount
 	// InstMix maps opcode mnemonics to dynamic execution counts
 	// (Config.Profile runs only).
@@ -103,11 +97,9 @@ type Result struct {
 
 // BlockCount is one hot-block report entry: a basic-block entry point, the
 // straight-line run length from it, and how often execution entered there.
-type BlockCount struct {
-	PC    uint64
-	Len   int
-	Count uint64
-}
+// It is the profile package's record, so profile.FromImage takes
+// Result.BlockProfile as it is.
+type BlockCount = profile.PCBlock
 
 // Machine executes a linked image.
 type Machine struct {
@@ -122,11 +114,10 @@ type Machine struct {
 	segs   []decSeg
 	curSeg int
 
-	halted  bool
-	exit    int64
-	out     []int64
-	outB    []byte
-	profile map[uint32]uint64
+	halted bool
+	exit   int64
+	out    []int64
+	outB   []byte
 
 	// Profiling mode (cfg.Profile): per-segment block-entry counts parallel
 	// to segs[i].uops, and per-opcode execution counts. Preallocated at
@@ -350,7 +341,7 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 		}
 		m.stats.Cycles = m.cycle
 	}
-	res := &Result{Exit: m.exit, Output: m.out, OutBytes: m.outB, Stats: m.stats, Profile: m.profile}
+	res := &Result{Exit: m.exit, Output: m.out, OutBytes: m.outB, Stats: m.stats}
 	if m.profiling {
 		res.BlockProfile = m.blockProfile()
 		res.InstMix = m.instMix()

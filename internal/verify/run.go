@@ -83,11 +83,7 @@ func EngineProfile(im *objfile.Image, maxInst uint64) (*profile.Profile, error) 
 	if err != nil {
 		return nil, err
 	}
-	blocks := make([]profile.PCBlock, len(res.BlockProfile))
-	for i, b := range res.BlockProfile {
-		blocks[i] = profile.PCBlock{PC: b.PC, Len: b.Len, Count: b.Count}
-	}
-	return profile.FromImage(im, blocks)
+	return profile.FromImage(im, res.BlockProfile)
 }
 
 // RunCell merges the objects and runs OM at the cell's settings under
